@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .morphology import LightStemmer
 from .question_analysis import LogicalRep, Provenance, RepSet
+from .retrieval import Paragraph
 from .text_core import (Lexicons, normalize, remove_stopwords, split_sentences,
                         strip_article, tokenize)
 
@@ -78,15 +79,15 @@ class Verdict:
         return rec
 
 
-def prepare_sentences(paragraph_text: str, doc_id: str, para_id: int,
-                      lexicons: Lexicons,
+def prepare_sentences(paragraph: Paragraph, lexicons: Lexicons,
                       stemmer: LightStemmer) -> list[Sentence]:
     sentences = []
-    for i, text in enumerate(split_sentences(paragraph_text)):
+    for i, text in enumerate(split_sentences(paragraph.text)):
         tokens = tokenize(normalize(text))
         content = remove_stopwords(tokens, lexicons)
         sentences.append(Sentence(
-            text=text, doc_id=doc_id, para_id=para_id, sentence_index=i,
+            text=text, doc_id=paragraph.doc_id, para_id=paragraph.para_id,
+            sentence_index=i,
             surface=tuple(strip_article(t.surface, lexicons) for t in tokens),
             content_surface=tuple(strip_article(t.surface, lexicons)
                                   for t in content),
@@ -115,16 +116,16 @@ def resolve_polarity(rep_negated: bool, answer_negated: bool) -> Answer:
     return Answer.YES if rep_negated == answer_negated else Answer.NO
 
 
-def _match_terms(sentence: Sentence, rep: LogicalRep, strict: bool = True,
+def _match_terms(sentence: Sentence, rep: LogicalRep,
                  context_roots: frozenset[str] = frozenset(),
                  ) -> dict[str, list[int]] | None:
     """Positions of the rep's roots in the sentence's content tokens, or
     None if the match requirement fails.
 
-    Requires at least one relation root; in strict mode every remaining
-    root must be present as well, either here or among context_roots (the
-    preceding sentence, during advanced search). First occurrence of each
-    term counts.
+    Requires at least one relation root; every remaining root must be
+    present as well, either here or among context_roots (the preceding
+    sentence, during advanced search). First occurrence of each term
+    counts.
     """
     positions: dict[str, list[int]] = {}
     matched_relation = False
@@ -137,7 +138,7 @@ def _match_terms(sentence: Sentence, rep: LogicalRep, strict: bool = True,
     for root in rep.remaining_roots:
         if root in sentence.content_roots:
             positions.setdefault(root, [sentence.content_roots.index(root)])
-        elif strict and root not in context_roots:
+        elif root not in context_roots:
             return None
     return positions
 
@@ -149,14 +150,14 @@ def _head_position(sentence: Sentence, rep: LogicalRep) -> int | None:
                  if t == rep.head), None)
 
 
-def match_and_rank(sentence: Sentence, rep: LogicalRep,
-                   strict: bool = True) -> CandidateSentence | None:
+def match_and_rank(sentence: Sentence,
+                   rep: LogicalRep) -> CandidateSentence | None:
     """Match a representation against a sentence and compute its span rank.
 
     The head position (when the head is in this sentence) joins the
     matched-term positions; span_rank = max(position) - min(position).
     """
-    positions = _match_terms(sentence, rep, strict=strict)
+    positions = _match_terms(sentence, rep)
     if positions is None:
         return None
     all_positions = [p for ps in positions.values() for p in ps]
@@ -171,8 +172,8 @@ def match_and_rank(sentence: Sentence, rep: LogicalRep,
                              answer_negated=False)
 
 
-def advanced_search(sentences: list[Sentence], rep: LogicalRep,
-                    strict: bool = True) -> list[CandidateSentence]:
+def advanced_search(sentences: list[Sentence],
+                    rep: LogicalRep) -> list[CandidateSentence]:
     """One-sentence-lookback matching for sentences missing the head.
 
     Sentence i (i >= 1) is accepted when it contains a relation root, the
@@ -185,7 +186,7 @@ def advanced_search(sentences: list[Sentence], rep: LogicalRep,
         current, prev = sentences[i], sentences[i - 1]
         if contains_head(current, rep) or not contains_head(prev, rep):
             continue
-        positions = _match_terms(current, rep, strict=strict,
+        positions = _match_terms(current, rep,
                                  context_roots=frozenset(prev.content_roots))
         if positions is None:
             continue
@@ -197,39 +198,36 @@ def advanced_search(sentences: list[Sentence], rep: LogicalRep,
     return found
 
 
-def select_answer(paragraphs: list[tuple[str, int, str]], repset: RepSet,
+def select_answer(paragraphs: list[Paragraph], repset: RepSet,
                   lexicons: Lexicons, stemmer: LightStemmer,
-                  strict: bool = True, prefer_min_span: bool = True,
                   use_advanced_search: bool = True) -> Verdict:
     """Choose the best supporting sentence across the retrieved paragraphs
     and resolve the verdict.
 
-    paragraphs: (doc_id, para_id, text) in retrieval order. Minimum span
-    wins (unless prefer_min_span is False); ties break by retrieval
-    order, then sentence index, then provenance BASE > SYNONYM > ANTONYM.
+    paragraphs: in retrieval order. Minimum span wins; ties break by
+    retrieval order, then sentence index, then provenance
+    BASE > SYNONYM > ANTONYM.
     """
-    prepared = [prepare_sentences(text, doc_id, para_id, lexicons, stemmer)
-                for doc_id, para_id, text in paragraphs]
+    prepared = [prepare_sentences(p, lexicons, stemmer) for p in paragraphs]
 
     candidates: list[tuple[tuple, CandidateSentence]] = []
 
     def consider(cand: CandidateSentence, para_order: int):
-        key = (cand.span_rank if prefer_min_span else -cand.span_rank,
-               para_order, cand.sentence.sentence_index,
+        key = (cand.span_rank, para_order, cand.sentence.sentence_index,
                _PROVENANCE_ORDER[cand.matched_rep.provenance])
         candidates.append((key, cand))
 
     for para_order, sentences in enumerate(prepared):
         for rep in repset.reps:
             for sentence in filter_candidates(sentences, rep):
-                cand = match_and_rank(sentence, rep, strict=strict)
+                cand = match_and_rank(sentence, rep)
                 if cand is not None:
                     consider(cand, para_order)
 
     if not candidates and use_advanced_search:
         for para_order, sentences in enumerate(prepared):
             for rep in repset.reps:
-                for cand in advanced_search(sentences, rep, strict=strict):
+                for cand in advanced_search(sentences, rep):
                     consider(cand, para_order)
 
     trace = tuple(

@@ -76,7 +76,7 @@ def cmd_index(config_file, out_path, **overrides):
         sys.exit(2)
     click.echo(f"documents: {idx.n_documents}")
     click.echo(f"paragraphs: {idx.n_paragraphs}")
-    click.echo(f"vocabulary: {len(idx.vocabulary)}")
+    click.echo(f"vocabulary: {len(idx.df_p)}")
     click.echo(f"snapshot: {out}")
 
 
@@ -174,8 +174,8 @@ def cmd_eval(config_file, as_json, sweep_sizes, sweep_all_questions,
         for r in report.records:
             click.echo(f"{r.question:<{width}}\t{r.gold}\t{r.predicted}\t"
                        f"{'1' if r.correct else '0'}")
-        pct = float(report.accuracy) * 100
-        click.echo(f"accuracy: {report.accuracy} ({pct:.1f}%)")
+        click.echo(f"accuracy: {report.correct}/{len(report.records)} "
+                   f"({report.accuracy * 100:.1f}%)")
         click.echo("")
 
 

@@ -3,7 +3,7 @@ behavior switches exposed for evaluation experiments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -27,10 +27,6 @@ class Config:
     k_docs: int = 5
     use_thesaurus: bool = True
     use_advanced_search: bool = True
-    log_base: float = 2.0
-    rank_direction: str = "min"         # min | max span wins
-    match_strictness: str = "strict"    # strict | lenient
-    doc_technique_stats: str = "restricted"  # restricted | global
 
     def __post_init__(self):
         defaults = {
@@ -51,12 +47,6 @@ class Config:
             raise ValueError("k_paras and k_docs must be >= 1")
         if self.technique not in ("paragraph", "document"):
             raise ValueError(f"unknown technique: {self.technique}")
-        if self.rank_direction not in ("min", "max"):
-            raise ValueError(f"unknown rank_direction: {self.rank_direction}")
-        if self.match_strictness not in ("strict", "lenient"):
-            raise ValueError(f"unknown match_strictness: {self.match_strictness}")
-        if self.doc_technique_stats not in ("restricted", "global"):
-            raise ValueError(f"unknown doc_technique_stats: {self.doc_technique_stats}")
 
     def check_files(self) -> None:
         """Verify every referenced lexicon file exists."""
@@ -69,7 +59,6 @@ class Config:
 
 _BOOL_FIELDS = {"use_thesaurus", "use_advanced_search"}
 _INT_FIELDS = {"k_paras", "k_docs"}
-_FLOAT_FIELDS = {"log_base"}
 _PATH_FIELDS = {"corpus_dir", "stopwords", "negation", "article_exceptions",
                 "thesaurus", "stem_overrides"}
 
@@ -95,8 +84,6 @@ def load_config(path: Path | str) -> Config:
             values[key] = value.lower() in ("on", "true")
         elif key in _INT_FIELDS:
             values[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            values[key] = float(value)
         elif key in _PATH_FIELDS:
             # Relative paths resolve against the config file's directory.
             values[key] = (path.parent / value).resolve()

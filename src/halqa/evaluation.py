@@ -4,8 +4,7 @@ corpus-size sweep."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import Config
@@ -28,10 +27,12 @@ class EvalReport:
     corpus_size: int
 
     @property
-    def accuracy(self) -> Fraction:
-        if not self.records:
-            return Fraction(0)
-        return Fraction(sum(r.correct for r in self.records), len(self.records))
+    def correct(self) -> int:
+        return sum(r.correct for r in self.records)
+
+    @property
+    def accuracy(self) -> float:
+        return self.correct / len(self.records) if self.records else 0.0
 
     def to_rows(self) -> list[dict]:
         return [
@@ -45,8 +46,8 @@ class EvalReport:
                  for row in self.to_rows()]
         summary = {"corpus_size": self.corpus_size,
                    "total": len(self.records),
-                   "correct": sum(r.correct for r in self.records),
-                   "accuracy": float(self.accuracy)}
+                   "correct": self.correct,
+                   "accuracy": self.accuracy}
         lines.append(json.dumps(summary, ensure_ascii=False, sort_keys=True))
         return "\n".join(lines) + "\n"
 
@@ -95,13 +96,12 @@ def sweep(config: Config, questions: list[tuple[str, str]],
     mirroring the paired documents/questions protocol; all_questions
     evaluates the full set at every size.
     """
-    corpus_dir = config.corpus_dir
-    files = sorted(Path(corpus_dir).glob("*.txt"))
+    files = sorted(Path(config.corpus_dir).glob("*.txt"))
+    engine = Engine(config)
     reports = []
     for i, size in enumerate(sizes):
         subset = [(f.stem, f.read_text(encoding="utf-8"))
                   for f in files[:size]]
-        engine = Engine(config)
         engine.set_index(build_index(subset, engine.lexicons, engine.stemmer))
         if all_questions:
             bucket = questions

@@ -15,7 +15,7 @@ from .question_analysis import (ParsedQuestion, RepSet, build_representations,
                                 retrieval_term_multiset)
 from .retrieval import (Index, Query, ScoredCandidate, build_index_from_dir,
                         document_technique, load_index, paragraph_technique,
-                        paragraphs_by_id, save_index)
+                        save_index)
 from .text_core import Lexicons
 
 
@@ -67,23 +67,15 @@ class Engine:
         query = Query.from_terms(retrieval_term_multiset(reps, self.stemmer))
         cfg = self.config
         if cfg.technique == "document":
-            return document_technique(
-                self.index, query, k_docs=cfg.k_docs, k_paras=cfg.k_paras,
-                log_base=cfg.log_base,
-                restricted_stats=cfg.doc_technique_stats == "restricted")
-        return paragraph_technique(self.index, query, k=cfg.k_paras,
-                                   log_base=cfg.log_base)
+            return document_technique(self.index, query, k_docs=cfg.k_docs,
+                                      k_paras=cfg.k_paras)
+        return paragraph_technique(self.index, query, k=cfg.k_paras)
 
     def answer(self, question: str) -> AnswerResult:
         reps = self.analyze(question)
         retrieved = self.retrieve(reps)
-        by_id = paragraphs_by_id(self.index)
-        paragraphs = [(c.doc_id, c.para_id, by_id[(c.doc_id, c.para_id)].text)
-                      for c in retrieved]
         verdict = select_answer(
-            paragraphs, reps, self.lexicons, self.stemmer,
-            strict=self.config.match_strictness == "strict",
-            prefer_min_span=self.config.rank_direction == "min",
-            use_advanced_search=self.config.use_advanced_search)
+            [c.paragraph for c in retrieved], reps, self.lexicons,
+            self.stemmer, use_advanced_search=self.config.use_advanced_search)
         return AnswerResult(question=reps.source, reps=reps,
                             retrieved=tuple(retrieved), verdict=verdict)

@@ -62,7 +62,7 @@ class RepSet:
 def parse_question(raw: str, lexicons: Lexicons,
                    tagger: LightStemmer) -> ParsedQuestion:
     """Parse a هل-question; raise MalformedQuestion when it has no هل,
-    no head or no relation."""
+    no head or no relation, or when a content word is a bare article."""
     tokens = tokenize(normalize(raw))
     if not tokens or tokens[0].surface != INTERROGATIVE:
         raise MalformedQuestion("question must start with هل")
@@ -70,6 +70,8 @@ def parse_question(raw: str, lexicons: Lexicons,
     negated, content_no_neg = detect_negation(content, lexicons)
     if not content_no_neg:
         raise MalformedQuestion("question has no content words")
+    if any(not strip_article(t.surface, lexicons) for t in content_no_neg):
+        raise MalformedQuestion("question has a bare article (ال) as a word")
 
     # Preceding-token lookup keeps negation particles visible so the
     # verb-governor heuristic (e.g. لم يفتح) still fires.
@@ -192,17 +194,6 @@ def build_representations(q: ParsedQuestion, thesaurus: Thesaurus,
         if antonyms:
             reps.append(rep(antonyms, not q.negated, Provenance.ANTONYM))
     return RepSet(reps=tuple(reps), source=q)
-
-
-def retrieval_terms(rs: RepSet, stemmer: LightStemmer) -> list[str]:
-    """Deduplicated retrieval query roots from the BASE representation."""
-    seen: set[str] = set()
-    ordered = []
-    for root in retrieval_term_multiset(rs, stemmer):
-        if root not in seen:
-            seen.add(root)
-            ordered.append(root)
-    return ordered
 
 
 def retrieval_term_multiset(rs: RepSet, stemmer: LightStemmer) -> list[str]:

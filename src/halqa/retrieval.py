@@ -3,8 +3,8 @@
 Paragraph technique: score every paragraph corpus-wide with the passage
 similarity formula and keep the top k. Document technique: score whole
 documents first, keep the top documents, then rank their paragraphs with
-the passage formula (statistics restricted to the retained documents by
-default).
+the passage formula, with statistics restricted to the retained
+documents.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import EmptyCorpus
 from .morphology import LightStemmer
 from .text_core import Lexicons, normalize, remove_stopwords, split_paragraphs, tokenize
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -29,23 +30,51 @@ class Paragraph:
     doc_id: str
     para_id: int
     text: str
-    terms: Counter
-    pl: int  # non-stop term count
+    terms: dict[str, int]  # root -> frequency
+    pl: int = field(init=False)  # non-stop term count
+
+    def __post_init__(self):
+        object.__setattr__(self, "pl", sum(self.terms.values()))
 
 
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    terms: Counter
-    max_tf: int
+    paragraphs: tuple[Paragraph, ...]
+    terms: dict[str, int] = field(init=False)
+    max_tf: int = field(init=False)
+
+    def __post_init__(self):
+        # Plain dict sums: Counter.update is slower, and loading a snapshot
+        # runs this once per document.
+        first, *rest = self.paragraphs
+        terms = dict(first.terms)
+        for p in rest:
+            for term, tf in p.terms.items():
+                terms[term] = terms.get(term, 0) + tf
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "max_tf", max(terms.values()))
 
 
 @dataclass(frozen=True)
 class Index:
+    """Paragraphs in (doc_id, para_id) order. The documents, df_p (term ->
+    paragraphs containing it) and df_d (term -> documents containing it)
+    are derived from them."""
     paragraphs: tuple[Paragraph, ...]
-    documents: tuple[Document, ...]
-    df_p: dict[str, int]  # term -> paragraphs containing it
-    df_d: dict[str, int]  # term -> documents containing it
+    documents: tuple[Document, ...] = field(init=False, repr=False)
+    df_p: dict[str, int] = field(init=False, repr=False)
+    df_d: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        by_doc: dict[str, list[Paragraph]] = {}
+        for p in self.paragraphs:
+            by_doc.setdefault(p.doc_id, []).append(p)
+        documents = tuple(Document(doc_id, tuple(paras))
+                          for doc_id, paras in by_doc.items())
+        object.__setattr__(self, "documents", documents)
+        object.__setattr__(self, "df_p", _frequencies(self.paragraphs))
+        object.__setattr__(self, "df_d", _frequencies(documents))
 
     @property
     def n_paragraphs(self) -> int:
@@ -55,9 +84,10 @@ class Index:
     def n_documents(self) -> int:
         return len(self.documents)
 
-    @property
-    def vocabulary(self) -> set[str]:
-        return set(self.df_p)
+
+def _frequencies(units) -> dict[str, int]:
+    """Term -> number of units (paragraphs or documents) containing it."""
+    return Counter(chain.from_iterable(unit.terms for unit in units))
 
 
 @dataclass(frozen=True)
@@ -75,9 +105,16 @@ class Query:
 
 @dataclass(frozen=True)
 class ScoredCandidate:
-    doc_id: str
+    paragraph: Paragraph
     score: float
-    para_id: int | None = None
+
+    @property
+    def doc_id(self) -> str:
+        return self.paragraph.doc_id
+
+    @property
+    def para_id(self) -> int:
+        return self.paragraph.para_id
 
 
 def paragraph_terms(text: str, lexicons: Lexicons,
@@ -95,35 +132,16 @@ def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
     Paragraphs with no indexable terms are skipped; a document whose
     paragraphs are all empty is excluded entirely.
     """
-    paragraphs: list[Paragraph] = []
-    documents: list[Document] = []
+    paragraphs = []
     for doc_id, text in sorted(corpus):
-        doc_paras = []
         for para_id, para_text in enumerate(split_paragraphs(text)):
             terms = paragraph_terms(para_text, lexicons, stemmer)
-            if not terms:
-                continue
-            doc_paras.append(Paragraph(doc_id=doc_id, para_id=para_id,
-                                       text=para_text, terms=terms,
-                                       pl=sum(terms.values())))
-        if not doc_paras:
-            continue
-        doc_terms = Counter()
-        for p in doc_paras:
-            doc_terms.update(p.terms)
-        paragraphs.extend(doc_paras)
-        documents.append(Document(doc_id=doc_id, terms=doc_terms,
-                                  max_tf=max(doc_terms.values())))
-    if not documents:
+            if terms:
+                paragraphs.append(Paragraph(doc_id=doc_id, para_id=para_id,
+                                            text=para_text, terms=terms))
+    if not paragraphs:
         raise EmptyCorpus("no document yielded an indexable paragraph")
-    df_p = Counter()
-    for p in paragraphs:
-        df_p.update(p.terms.keys())
-    df_d = Counter()
-    for d in documents:
-        df_d.update(d.terms.keys())
-    return Index(paragraphs=tuple(paragraphs), documents=tuple(documents),
-                 df_p=dict(df_p), df_d=dict(df_d))
+    return Index(paragraphs=tuple(paragraphs))
 
 
 def build_index_from_dir(corpus_dir: Path | str, lexicons: Lexicons,
@@ -138,39 +156,29 @@ def build_index_from_dir(corpus_dir: Path | str, lexicons: Lexicons,
     return build_index(corpus, lexicons, stemmer)
 
 
-def _log(x: float, base: float) -> float:
-    return math.log(x, base)
-
-
-def passage_similarity(p: Paragraph, q: Query, idx: Index,
-                       log_base: float = 2.0,
-                       n_p: int | None = None,
-                       df_p: dict[str, int] | None = None) -> float:
+def passage_similarity(p: Paragraph, q: Query, idx: Index) -> float:
     """Passage-query similarity: sum over shared terms of W_p * W_q with
-    W_p = (N/n) log((tf+1)/pl) and W_q = (N/n) log((qtf+1)/ql).
+    W_p = (N/n) log2((tf+1)/pl) and W_q = (N/n) log2((qtf+1)/ql).
 
-    Terms absent from the paragraph or from the corpus contribute 0.
-    N and n may be overridden for document-technique re-scoring over a
-    restricted paragraph set.
+    N and n are counted over the index's paragraphs; terms absent from
+    the paragraph or from the index contribute 0.
     """
-    n_total = idx.n_paragraphs if n_p is None else n_p
-    df = idx.df_p if df_p is None else df_p
+    n_total = idx.n_paragraphs
     score = 0.0
     for term, qtf in q.qtf.items():
         tf = p.terms.get(term)
         if not tf:
             continue
-        n = df.get(term)
+        n = idx.df_p.get(term)
         if not n:
             continue
-        w_p = (n_total / n) * _log((tf + 1) / p.pl, log_base)
-        w_q = (n_total / n) * _log((qtf + 1) / q.ql, log_base)
+        w_p = (n_total / n) * math.log2((tf + 1) / p.pl)
+        w_q = (n_total / n) * math.log2((qtf + 1) / q.ql)
         score += w_p * w_q
     return score
 
 
-def document_similarity(d: Document, q: Query, idx: Index,
-                        log_base: float = 2.0) -> float:
+def document_similarity(d: Document, q: Query, idx: Index) -> float:
     """Document-query similarity: sum over shared terms of W_dt * W_qt
     with W_dt = (tf/max_tf) log2(N/n) and
     W_qt = (0.5 + 0.5*qtf/max_qf) log2(N/n).
@@ -185,79 +193,52 @@ def document_similarity(d: Document, q: Query, idx: Index,
         n = idx.df_d.get(term)
         if not n:
             continue
-        idf = _log(idx.n_documents / n, log_base)
+        idf = math.log2(idx.n_documents / n)
         w_d = (tf / d.max_tf) * idf
         w_q = (0.5 + 0.5 * qtf / q.max_qf) * idf
         score += w_d * w_q
     return score
 
 
-def paragraph_technique(idx: Index, q: Query, k: int = 5,
-                        log_base: float = 2.0) -> list[ScoredCandidate]:
+def _top_paragraphs(idx: Index, q: Query, k: int) -> list[ScoredCandidate]:
+    scored = sorted(((passage_similarity(p, q, idx), p) for p in idx.paragraphs),
+                    key=lambda sp: (-sp[0], sp[1].doc_id, sp[1].para_id))
+    return [ScoredCandidate(paragraph=p, score=s) for s, p in scored[:k]]
+
+
+def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[ScoredCandidate]:
     """Rank all paragraphs corpus-wide; return the top k.
 
     Ties break by (doc_id, para_id) ascending.
     """
-    scored = [ScoredCandidate(doc_id=p.doc_id, para_id=p.para_id,
-                              score=passage_similarity(p, q, idx, log_base))
-              for p in idx.paragraphs]
-    scored.sort(key=lambda c: (-c.score, c.doc_id, c.para_id))
-    return scored[:k]
+    return _top_paragraphs(idx, q, k)
 
 
-def document_technique(idx: Index, q: Query, k_docs: int = 5, k_paras: int = 5,
-                       log_base: float = 2.0,
-                       restricted_stats: bool = True) -> list[ScoredCandidate]:
+def document_technique(idx: Index, q: Query, k_docs: int = 5,
+                       k_paras: int = 5) -> list[ScoredCandidate]:
     """Rank documents, keep the top k_docs, then rank their paragraphs.
 
-    With restricted_stats (the default) the passage formula's N and n are
-    taken over the retained documents' paragraphs only; otherwise the
-    global statistics are reused.
+    The passage formula's N and n are taken over the retained documents'
+    paragraphs only. Document ties break by doc_id ascending.
     """
-    doc_scores = [ScoredCandidate(doc_id=d.doc_id,
-                                  score=document_similarity(d, q, idx, log_base))
-                  for d in idx.documents]
-    doc_scores.sort(key=lambda c: (-c.score, c.doc_id))
-    retained = {c.doc_id for c in doc_scores[:k_docs]}
-    paras = [p for p in idx.paragraphs if p.doc_id in retained]
-    if restricted_stats:
-        n_p = len(paras)
-        df_p = Counter()
-        for p in paras:
-            df_p.update(p.terms.keys())
-        df_p = dict(df_p)
-    else:
-        n_p, df_p = None, None
-    scored = [ScoredCandidate(doc_id=p.doc_id, para_id=p.para_id,
-                              score=passage_similarity(p, q, idx, log_base,
-                                                       n_p=n_p, df_p=df_p))
-              for p in paras]
-    scored.sort(key=lambda c: (-c.score, c.doc_id, c.para_id))
-    return scored[:k_paras]
-
-
-def paragraphs_by_id(idx: Index) -> dict[tuple[str, int], Paragraph]:
-    return {(p.doc_id, p.para_id): p for p in idx.paragraphs}
+    ranked = sorted(idx.documents,
+                    key=lambda d: (-document_similarity(d, q, idx), d.doc_id))
+    retained = Index(paragraphs=tuple(p for d in ranked[:k_docs]
+                                      for p in d.paragraphs))
+    return _top_paragraphs(retained, q, k_paras)
 
 
 def save_index(idx: Index, path: Path | str) -> None:
-    """Persist an index snapshot as JSON, replacing any existing file
-    atomically."""
+    """Persist the index's paragraphs as a JSON snapshot, replacing any
+    existing file atomically. Everything else is derived on load."""
     path = Path(path)
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "paragraphs": [
             {"doc_id": p.doc_id, "para_id": p.para_id, "text": p.text,
-             "terms": dict(sorted(p.terms.items())), "pl": p.pl}
+             "terms": p.terms}
             for p in idx.paragraphs
         ],
-        "documents": [
-            {"doc_id": d.doc_id, "terms": dict(sorted(d.terms.items())),
-             "max_tf": d.max_tf}
-            for d in idx.documents
-        ],
-        "df_p": dict(sorted(idx.df_p.items())),
-        "df_d": dict(sorted(idx.df_d.items())),
     }
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -270,20 +251,35 @@ def save_index(idx: Index, path: Path | str) -> None:
         raise
 
 
+_RECORD_KEYS = ("doc_id", "para_id", "text", "terms")
+_RECORD_TYPES = (str, int, str, dict)
+
+
+def _paragraph_from_record(record) -> Paragraph:
+    if not isinstance(record, dict) or tuple(
+            map(type, map(record.get, _RECORD_KEYS))) != _RECORD_TYPES:
+        raise ValueError(f"malformed paragraph in index snapshot: {record!r:.80}")
+    terms = record["terms"]
+    if not terms or not (set(map(type, terms.values())) == {int}
+                         and min(terms.values()) > 0):
+        raise ValueError("paragraph terms in index snapshot must map words "
+                         f"to positive counts: {record['doc_id']}#{record['para_id']}")
+    return Paragraph(doc_id=record["doc_id"], para_id=record["para_id"],
+                     text=record["text"], terms=terms)
+
+
 def load_index(path: Path | str) -> Index:
+    """Read a snapshot written by save_index. Raises ValueError for any
+    other format version or a payload of the wrong shape."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("index snapshot is not a JSON object")
     version = payload.get("format_version")
     if version != INDEX_FORMAT_VERSION:
-        raise ValueError(f"unsupported index format version: {version}")
-    paragraphs = tuple(
-        Paragraph(doc_id=p["doc_id"], para_id=p["para_id"], text=p["text"],
-                  terms=Counter(p["terms"]), pl=p["pl"])
-        for p in payload["paragraphs"]
-    )
-    documents = tuple(
-        Document(doc_id=d["doc_id"], terms=Counter(d["terms"]),
-                 max_tf=d["max_tf"])
-        for d in payload["documents"]
-    )
-    return Index(paragraphs=paragraphs, documents=documents,
-                 df_p=payload["df_p"], df_d=payload["df_d"])
+        raise ValueError(f"unsupported index format version: {version} "
+                         f"(expected {INDEX_FORMAT_VERSION}; rebuild the "
+                         "snapshot with `halqa index`)")
+    records = payload.get("paragraphs")
+    if not isinstance(records, list) or not records:
+        raise ValueError("index snapshot has no paragraphs")
+    return Index(paragraphs=tuple(_paragraph_from_record(r) for r in records))

@@ -21,7 +21,7 @@ from halqa.pipeline import Engine
 from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
                                      build_representations, parse_question,
                                      preprocess_special_verb)
-from halqa.retrieval import (Document, Index, Paragraph, Query, build_index,
+from halqa.retrieval import (Index, Paragraph, Query, build_index,
                              document_similarity, passage_similarity)
 
 from conftest import CORPUS_DIR, QUESTIONS
@@ -124,24 +124,21 @@ def test_criterion_3_formula_oracles(lexicons, stemmer):
 
 def test_criterion_4_spot_checks():
     # Passage: 4 paragraphs, term in 2, tf=3 over 10 terms, 1-term query.
-    target = Paragraph(doc_id="a", para_id=0, text="",
-                       terms=Counter({"x": 3, "y": 7}), pl=10)
-    idx = Index(
-        paragraphs=(target,
-                    Paragraph(doc_id="a", para_id=1, text="",
-                              terms=Counter({"x": 1}), pl=1),
-                    Paragraph(doc_id="b", para_id=0, text="",
-                              terms=Counter({"y": 2}), pl=2),
-                    Paragraph(doc_id="b", para_id=1, text="",
-                              terms=Counter({"z": 1}), pl=1)),
-        documents=(), df_p={"x": 2, "y": 2, "z": 1}, df_d={})
+    def index(*paragraphs):
+        return Index(paragraphs=tuple(
+            Paragraph(doc_id=d, para_id=i, text="", terms=Counter(terms))
+            for d, i, terms in paragraphs))
+
+    idx = index(("a", 0, {"x": 3, "y": 7}), ("a", 1, {"x": 1}),
+                ("b", 0, {"y": 2}), ("b", 1, {"z": 1}))
+    target = idx.paragraphs[0]
     q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
     ok = abs(passage_similarity(target, q, idx) - (-5.2877)) <= 1e-4
 
     # Document: 4 documents, term in 2, tf=3 at the document maximum.
-    doc = Document(doc_id="a", terms=Counter({"x": 3}), max_tf=3)
-    idx = Index(paragraphs=(), documents=(doc,) * 4,
-                df_p={}, df_d={"x": 2})
+    idx = index(("a", 0, {"x": 3}), ("b", 0, {"x": 1}),
+                ("c", 0, {"y": 1}), ("d", 0, {"y": 1}))
+    doc = idx.documents[0]
     ok &= abs(document_similarity(doc, q, idx) - 1.0) <= 1e-4
     report(4, "hand-computed passage (-5.2877) and document (1.0) "
               "spot checks", ok)
@@ -151,8 +148,9 @@ def test_criterion_5_lookback_fixture(lexicons, stemmer):
     rep = LogicalRep(kind=SentenceKind.NOMINAL, negated=False, head="محمود",
                      relation_roots=frozenset({"حطم"}),
                      remaining_roots=("نافذ",), provenance=Provenance.BASE)
-    sentences = prepare_sentences("قذف محمود الكرة باتجاه النافذة. فتحطمت",
-                                  "d", 0, lexicons, stemmer)
+    paragraph = Paragraph(doc_id="d", para_id=0, terms=Counter(),
+                          text="قذف محمود الكرة باتجاه النافذة. فتحطمت")
+    sentences = prepare_sentences(paragraph, lexicons, stemmer)
     direct = [c for s in filter_candidates(sentences, rep)
               if (c := match_and_rank(s, rep)) is not None]
     lookback = advanced_search(sentences, rep)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from halqa.answer_selection import (Answer, advanced_search, contains_head,
@@ -7,6 +9,13 @@ from halqa.answer_selection import (Answer, advanced_search, contains_head,
 from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
                                      build_representations, parse_question,
                                      preprocess_special_verb)
+from halqa.retrieval import Paragraph
+
+
+def para(text, doc_id="d", para_id=0):
+    # Selection reads only the ids and the text; terms serve retrieval.
+    return Paragraph(doc_id=doc_id, para_id=para_id, text=text,
+                     terms=Counter())
 
 
 def rep_of(head, relation_roots, remaining=(), negated=False,
@@ -36,8 +45,8 @@ class TestPolarity:
 
 class TestSentencePreparation:
     def test_fields(self, lexicons, stemmer):
-        sents = prepare_sentences("فتح محمود الباب. لم يغلق النافذة",
-                                  "d", 0, lexicons, stemmer)
+        sents = prepare_sentences(para("فتح محمود الباب. لم يغلق النافذة"),
+                                  lexicons, stemmer)
         assert len(sents) == 2
         first = sents[0]
         assert first.raw_tokens == ("فتح", "محمود", "الباب")
@@ -47,8 +56,8 @@ class TestSentencePreparation:
         assert "لم" in sents[1].raw_tokens
 
     def test_head_filter(self, lexicons, stemmer):
-        sents = prepare_sentences("محمد ولد جميل. الجو صاف",
-                                  "d", 0, lexicons, stemmer)
+        sents = prepare_sentences(para("محمد ولد جميل. الجو صاف"),
+                                  lexicons, stemmer)
         rep = rep_of("محمد", {"جميل"})
         assert contains_head(sents[0], rep)
         assert not contains_head(sents[1], rep)
@@ -56,40 +65,35 @@ class TestSentencePreparation:
 
     def test_negation_detection(self, lexicons, stemmer):
         plain, negated = prepare_sentences(
-            "محمد ولد جميل. ليس محمد ولد جميل", "d", 0, lexicons, stemmer)
+            para("محمد ولد جميل. ليس محمد ولد جميل"), lexicons, stemmer)
         assert not detect_answer_negation(plain, lexicons)
         assert detect_answer_negation(negated, lexicons)
 
 
 class TestMatchAndRank:
     def test_span_counts_head_and_terms(self, lexicons, stemmer):
-        [s] = prepare_sentences("محمد ولد طويل جميل", "d", 0,
-                                lexicons, stemmer)
+        [s] = prepare_sentences(para("محمد ولد طويل جميل"), lexicons, stemmer)
         cand = match_and_rank(s, rep_of("محمد", {"جميل"}, ["ولد"]))
         assert cand is not None
         # positions: head 0, ولد 1, جميل 3
         assert cand.span_rank == 3
 
     def test_tight_sentence_has_smaller_span(self, lexicons, stemmer):
-        [s] = prepare_sentences("محمد جميل", "d", 0, lexicons, stemmer)
+        [s] = prepare_sentences(para("محمد جميل"), lexicons, stemmer)
         cand = match_and_rank(s, rep_of("محمد", {"جميل"}))
         assert cand.span_rank == 1
 
     def test_missing_relation_root_fails(self, lexicons, stemmer):
-        [s] = prepare_sentences("محمد ولد طويل", "d", 0, lexicons, stemmer)
+        [s] = prepare_sentences(para("محمد ولد طويل"), lexicons, stemmer)
         assert match_and_rank(s, rep_of("محمد", {"جميل"}, ["ولد"])) is None
 
-    def test_missing_remaining_root_fails_only_in_strict(self, lexicons,
-                                                         stemmer):
-        [s] = prepare_sentences("محمد جميل", "d", 0, lexicons, stemmer)
+    def test_missing_remaining_root_fails(self, lexicons, stemmer):
+        [s] = prepare_sentences(para("محمد جميل"), lexicons, stemmer)
         rep = rep_of("محمد", {"جميل"}, ["ولد"])
-        assert match_and_rank(s, rep, strict=True) is None
-        lenient = match_and_rank(s, rep, strict=False)
-        assert lenient is not None and lenient.span_rank == 1
+        assert match_and_rank(s, rep) is None
 
     def test_any_one_relation_root_suffices(self, lexicons, stemmer):
-        [s] = prepare_sentences("سميرة حطمت النافذة", "d", 0,
-                                lexicons, stemmer)
+        [s] = prepare_sentences(para("سميرة حطمت النافذة"), lexicons, stemmer)
         cand = match_and_rank(s, rep_of("سميرة", {"كسر", "حطم"}, ["نافذ"]))
         assert cand is not None
         assert "حطم" in cand.term_positions
@@ -105,12 +109,12 @@ class TestAdvancedSearch:
         return rep_of("محمود", {"حطم"}, ["نافذ"], kind=SentenceKind.NOMINAL)
 
     def test_direct_matching_finds_nothing(self, lexicons, stemmer):
-        sents = prepare_sentences(self.PARAGRAPH, "d", 0, lexicons, stemmer)
+        sents = prepare_sentences(para(self.PARAGRAPH), lexicons, stemmer)
         for s in filter_candidates(sents, self.rep()):
             assert match_and_rank(s, self.rep()) is None
 
     def test_lookback_accepts_second_sentence(self, lexicons, stemmer):
-        sents = prepare_sentences(self.PARAGRAPH, "d", 0, lexicons, stemmer)
+        sents = prepare_sentences(para(self.PARAGRAPH), lexicons, stemmer)
         found = advanced_search(sents, self.rep())
         assert len(found) == 1
         cand = found[0]
@@ -119,40 +123,40 @@ class TestAdvancedSearch:
         assert cand.span_rank == 0  # only فتحطمت matched in-sentence
 
     def test_requires_head_in_previous_sentence(self, lexicons, stemmer):
-        sents = prepare_sentences("قذف احمد الكرة باتجاه النافذة. فتحطمت",
-                                  "d", 0, lexicons, stemmer)
+        sents = prepare_sentences(para("قذف احمد الكرة باتجاه النافذة. فتحطمت"),
+                                  lexicons, stemmer)
         assert advanced_search(sents, self.rep()) == []
 
     def test_requires_remaining_roots_somewhere(self, lexicons, stemmer):
-        sents = prepare_sentences("قذف محمود الكرة. فتحطمت",
-                                  "d", 0, lexicons, stemmer)
+        sents = prepare_sentences(para("قذف محمود الكرة. فتحطمت"),
+                                  lexicons, stemmer)
         assert advanced_search(sents, self.rep()) == []
 
     def test_skips_sentence_containing_head(self, lexicons, stemmer):
         sents = prepare_sentences(
-            "قذف محمود الكرة باتجاه النافذة. فحطم محمود النافذة",
-            "d", 0, lexicons, stemmer)
+            para("قذف محمود الكرة باتجاه النافذة. فحطم محمود النافذة"),
+            lexicons, stemmer)
         assert advanced_search(sents, self.rep()) == []
 
 
 class TestSelectAnswer:
     def test_affirmative_yes(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([("d", 0, "محمد ولد جميل")], rs,
+        verdict = select_answer([para("محمد ولد جميل")], rs,
                                 lexicons, stemmer)
         assert verdict.answer is Answer.YES
         assert verdict.supporting.matched_rep.provenance is Provenance.BASE
 
     def test_antonym_no(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([("d", 0, "محمد ولد قبيح")], rs,
+        verdict = select_answer([para("محمد ولد قبيح")], rs,
                                 lexicons, stemmer)
         assert verdict.answer is Answer.NO
         assert verdict.supporting.matched_rep.provenance is Provenance.ANTONYM
 
     def test_negated_sentence_no(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([("d", 0, "ليس محمد ولد جميل")], rs,
+        verdict = select_answer([para("ليس محمد ولد جميل")], rs,
                                 lexicons, stemmer)
         assert verdict.answer is Answer.NO
         assert verdict.supporting.answer_negated
@@ -160,13 +164,13 @@ class TestSelectAnswer:
     def test_antonym_of_negated_sentence_yes(self, lexicons, stemmer,
                                              thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([("d", 0, "ليس محمد ولد قبيح")], rs,
+        verdict = select_answer([para("ليس محمد ولد قبيح")], rs,
                                 lexicons, stemmer)
         assert verdict.answer is Answer.YES
 
     def test_unknown_without_candidates(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([("d", 0, "الجو صاف اليوم")], rs,
+        verdict = select_answer([para("الجو صاف اليوم")], rs,
                                 lexicons, stemmer)
         assert verdict.answer is Answer.UNKNOWN
         assert verdict.supporting is None
@@ -175,17 +179,14 @@ class TestSelectAnswer:
     def test_minimum_span_wins(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
         text = "محمد ولد طويل جميل. محمد جميل"
-        verdict = select_answer([("d", 0, text)], rs, lexicons, stemmer)
+        verdict = select_answer([para(text)], rs, lexicons, stemmer)
         assert verdict.supporting.sentence.sentence_index == 1
         assert verdict.supporting.span_rank == 1
-        widest = select_answer([("d", 0, text)], rs, lexicons, stemmer,
-                               prefer_min_span=False)
-        assert widest.supporting.sentence.sentence_index == 0
 
     def test_retrieval_order_breaks_span_ties(self, lexicons, stemmer,
                                               thesaurus):
         rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
-        paragraphs = [("b", 0, "محمد جميل"), ("a", 0, "محمد جميل")]
+        paragraphs = [para("محمد جميل", "b"), para("محمد جميل", "a")]
         verdict = select_answer(paragraphs, rs, lexicons, stemmer)
         assert verdict.supporting.sentence.doc_id == "b"
 
@@ -193,7 +194,7 @@ class TestSelectAnswer:
         # One sentence satisfying base and synonym with identical spans.
         rs = repset_for("هل سميرة التي كسرت النافذة ؟",
                         lexicons, stemmer, thesaurus)
-        verdict = select_answer([("d", 0, "سميرة كسرت وحطمت النافذة")],
+        verdict = select_answer([para("سميرة كسرت وحطمت النافذة")],
                                 rs, lexicons, stemmer)
         assert verdict.answer is Answer.YES
         assert verdict.supporting.matched_rep.provenance is Provenance.BASE
@@ -204,7 +205,7 @@ class TestSelectAnswer:
         rs = repset_for("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
         verdict = select_answer(
-            [("d", 0, "قذف محمود الكرة باتجاه النافذة. فتحطمت")],
+            [para("قذف محمود الكرة باتجاه النافذة. فتحطمت")],
             rs, lexicons, stemmer)
         assert verdict.answer is Answer.YES
         assert verdict.supporting.via_advanced_search
@@ -214,7 +215,7 @@ class TestSelectAnswer:
         rs = repset_for("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
         verdict = select_answer(
-            [("d", 0, "قذف محمود الكرة باتجاه النافذة. فتحطمت")],
+            [para("قذف محمود الكرة باتجاه النافذة. فتحطمت")],
             rs, lexicons, stemmer, use_advanced_search=False)
         assert verdict.answer is Answer.UNKNOWN
 
@@ -224,8 +225,8 @@ class TestSelectAnswer:
         rs = repset_for("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
         paragraphs = [
-            ("d", 0, "قذف محمود الكرة باتجاه النافذة. فتحطمت"),
-            ("e", 0, "حطم محمود النافذة"),
+            para("قذف محمود الكرة باتجاه النافذة. فتحطمت"),
+            para("حطم محمود النافذة", "e"),
         ]
         verdict = select_answer(paragraphs, rs, lexicons, stemmer)
         assert not verdict.supporting.via_advanced_search
@@ -234,7 +235,7 @@ class TestSelectAnswer:
 
     def test_deterministic(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        paragraphs = [("d", 0, "محمد ولد جميل. ليس محمد ولد جميل")]
+        paragraphs = [para("محمد ولد جميل. ليس محمد ولد جميل")]
         first = select_answer(paragraphs, rs, lexicons, stemmer)
         second = select_answer(paragraphs, rs, lexicons, stemmer)
         assert first.to_record() == second.to_record()
@@ -243,7 +244,7 @@ class TestSelectAnswer:
     def test_trace_is_span_sorted(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
         verdict = select_answer(
-            [("d", 0, "محمد ولد طويل جميل. محمد جميل")],
+            [para("محمد ولد طويل جميل. محمد جميل")],
             rs, lexicons, stemmer)
         spans = [step["span_rank"] for step in verdict.trace]
         assert spans == sorted(spans)

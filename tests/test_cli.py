@@ -3,9 +3,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from halqa import evaluation
 from halqa.cli import main
 from halqa.config import Config, load_config
 from halqa.errors import LexiconParseError
+from halqa.evaluation import load_questions, sweep
+from halqa.retrieval import INDEX_FORMAT_VERSION
 
 from conftest import CORPUS_DIR, QUESTIONS
 
@@ -34,7 +37,8 @@ class TestIndexCommand:
         assert "documents: 2" in result.output
         assert "paragraphs: 3" in result.output
         assert out.is_file()
-        assert json.loads(out.read_text(encoding="utf-8"))["format_version"] == 1
+        snapshot = json.loads(out.read_text(encoding="utf-8"))
+        assert snapshot["format_version"] == INDEX_FORMAT_VERSION
 
     def test_default_snapshot_location(self, runner, small_corpus):
         result = runner.invoke(main, ["index", "--corpus", str(small_corpus)])
@@ -53,7 +57,8 @@ class TestIndexCommand:
         for _ in range(2):
             assert runner.invoke(main, ["index", "--corpus", str(small_corpus),
                                         "--out", str(out)]).exit_code == 0
-        assert json.loads(out.read_text(encoding="utf-8"))["format_version"] == 1
+        snapshot = json.loads(out.read_text(encoding="utf-8"))
+        assert snapshot["format_version"] == INDEX_FORMAT_VERSION
 
 
 class TestAskCommand:
@@ -120,6 +125,29 @@ class TestAskCommand:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "yes"
 
+    @pytest.mark.parametrize("content", [
+        "[1, 2]",
+        '{"format_version": 1, "paragraphs": []}',
+        '{"format_version": %d, "paragraphs": [{"doc_id": "d1"}]}'
+        % INDEX_FORMAT_VERSION,
+        "{not json",
+    ])
+    def test_bad_snapshot_exits_2(self, runner, content, tmp_path):
+        snap = tmp_path / "snap.json"
+        snap.write_text(content, encoding="utf-8")
+        result = runner.invoke(main, ["ask", "--index", str(snap),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+
+    def test_bare_article_exits_1(self, runner):
+        result = runner.invoke(main, ["ask", "--corpus", str(CORPUS_DIR),
+                                      "هل خالد ال بنت ؟"])
+        assert result.exit_code == 1
+        assert "malformed" in result.output
+
     def test_technique_flag(self, runner, small_corpus):
         result = runner.invoke(main, ["ask", "--corpus", str(small_corpus),
                                       "--technique", "document", "--k-docs", "1",
@@ -137,11 +165,15 @@ class TestEvalCommand:
         return path
 
     def test_accuracy_table(self, runner, small_corpus, tmp_path):
+        # The line shows correct/total as counted, not a reduced fraction.
         questions = self.make_questions(tmp_path)
+        with questions.open("a", encoding="utf-8") as fh:
+            fh.write("هل فتح محمود الباب ؟\tyes\n"
+                     "هل محمد ولد جميل ؟\tno\n")
         result = runner.invoke(main, ["eval", "--corpus", str(small_corpus),
                                       str(questions)])
         assert result.exit_code == 0, result.output
-        assert "accuracy: 1/2 (50.0%)" in result.output
+        assert "accuracy: 2/4 (50.0%)" in result.output
 
     def test_json_lines(self, runner, small_corpus, tmp_path):
         questions = self.make_questions(tmp_path)
@@ -161,6 +193,20 @@ class TestEvalCommand:
         assert result.exit_code == 0, result.output
         assert "corpus size: 1 documents, 2 questions" in result.output
         assert "corpus size: 2 documents, 2 questions" in result.output
+
+    def test_sweep_builds_one_engine(self, monkeypatch):
+        inits = []
+        original = evaluation.Engine.__init__
+
+        def counting(engine, config):
+            inits.append(config)
+            original(engine, config)
+
+        monkeypatch.setattr(evaluation.Engine, "__init__", counting)
+        reports = sweep(Config(corpus_dir=CORPUS_DIR),
+                        load_questions(QUESTIONS), [5, 10, 13])
+        assert len(inits) == 1
+        assert [r.corpus_size for r in reports] == [5, 10, 13]
 
     def test_bad_gold_label_exits_2(self, runner, small_corpus, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -216,5 +262,3 @@ class TestConfigFile:
             Config(technique="graph")
         with pytest.raises(ValueError):
             Config(k_paras=0)
-        with pytest.raises(ValueError):
-            Config(rank_direction="sideways")

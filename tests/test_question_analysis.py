@@ -1,9 +1,17 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halqa.errors import MalformedQuestion
 from halqa.question_analysis import (Provenance, SentenceKind,
                                      build_representations, parse_question,
-                                     preprocess_special_verb, retrieval_terms)
+                                     preprocess_special_verb,
+                                     retrieval_term_multiset)
+from halqa.retrieval import Query
+from halqa.text_core import normalize, tokenize
+
+from conftest import CORPUS_DIR, QUESTIONS
 
 
 def analyze(question, lexicons, stemmer, thesaurus, use_thesaurus=True):
@@ -52,6 +60,7 @@ class TestParsing:
         "هل في من ؟",         # stopwords only
         "هل الباب الكبير ؟",  # nominal without an article-free comment
         "هل فتح ؟",           # verbal without a subject noun
+        "هل خالد ال بنت ؟",   # a bare article as a word
     ])
     def test_malformed(self, question, lexicons, stemmer):
         with pytest.raises(MalformedQuestion):
@@ -194,20 +203,39 @@ class TestRepSetInvariants:
 class TestRetrievalTerms:
     def test_second_example_terms(self, lexicons, stemmer, thesaurus):
         rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        assert retrieval_terms(rs, stemmer) == [
+        assert retrieval_term_multiset(rs, stemmer) == [
             stemmer.stem("محمد"), stemmer.stem("جميل"), stemmer.stem("ولد")]
 
     def test_deduplicated(self, lexicons, stemmer, thesaurus):
+        # A repeated root stays in the multiset; the query counts it once
+        # with its frequency.
         rs = analyze("هل جميل ولد جميل ؟", lexicons, stemmer, thesaurus)
-        terms = retrieval_terms(rs, stemmer)
-        assert len(terms) == len(set(terms))
+        q = Query.from_terms(retrieval_term_multiset(rs, stemmer))
+        assert q.qtf == Counter({stemmer.stem("جميل"): 2,
+                                 stemmer.stem("ولد"): 1})
 
     def test_synonym_roots_excluded(self, lexicons, stemmer, thesaurus):
         rs = analyze("هل سميرة التي كسرت النافذة ؟", lexicons, stemmer,
                      thesaurus)
-        assert stemmer.stem("حطمت") not in retrieval_terms(rs, stemmer)
+        assert stemmer.stem("حطمت") not in retrieval_term_multiset(rs, stemmer)
 
     def test_empty_remaining(self, lexicons, stemmer, thesaurus):
         rs = analyze("هل نجح يوسف ؟", lexicons, stemmer, thesaurus)
-        assert retrieval_terms(rs, stemmer) == [
+        assert retrieval_term_multiset(rs, stemmer) == [
             stemmer.stem("يوسف"), stemmer.stem("نجح")]
+
+
+FIXTURE_WORDS = sorted(
+    {t.surface for path in [*CORPUS_DIR.glob("*.txt"), QUESTIONS]
+     for t in tokenize(normalize(path.read_text(encoding="utf-8")))})
+PARTICLES = ["ال", "ب", "و", "لا", "لم", "ليس", "هل"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(FIXTURE_WORDS),
+                          st.sampled_from(PARTICLES)), max_size=6))
+def test_any_question_is_answered_or_malformed(engine, words):
+    try:
+        engine.answer(" ".join(["هل", *words, "؟"]))
+    except MalformedQuestion:
+        pass

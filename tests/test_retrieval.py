@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -5,10 +6,10 @@ from collections import Counter
 import pytest
 
 from halqa.errors import EmptyCorpus
-from halqa.retrieval import (Document, Index, Paragraph, Query, build_index,
-                             build_index_from_dir, document_similarity,
-                             document_technique, load_index,
-                             paragraph_technique, paragraphs_by_id,
+from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
+                             build_index, build_index_from_dir,
+                             document_similarity, document_technique,
+                             load_index, paragraph_technique,
                              passage_similarity, save_index)
 
 from conftest import CORPUS_DIR
@@ -81,7 +82,7 @@ class TestIndexing:
                           lexicons, stemmer)
         assert idx.n_documents == 2
         assert idx.n_paragraphs == 3
-        assert idx.vocabulary == {"t1", "t2", "t3"}
+        assert set(idx.df_p) == {"t1", "t2", "t3"}
         assert idx.df_p == {"t1": 2, "t2": 1, "t3": 1}
         assert idx.df_d == {"t1": 1, "t2": 1, "t3": 1}
 
@@ -122,18 +123,16 @@ class TestFormulaSpotChecks:
         # One matching paragraph with tf=3 over 10 terms, four paragraphs
         # total, the term in two of them.
         target = Paragraph(doc_id="a", para_id=0, text="",
-                           terms=Counter({"x": 3, "y": 7}), pl=10)
+                           terms=Counter({"x": 3, "y": 7}))
         filler = [
-            Paragraph(doc_id="a", para_id=1, text="",
-                      terms=Counter({"x": 1}), pl=1),
-            Paragraph(doc_id="b", para_id=0, text="",
-                      terms=Counter({"y": 2}), pl=2),
-            Paragraph(doc_id="b", para_id=1, text="",
-                      terms=Counter({"z": 1}), pl=1),
+            Paragraph(doc_id="a", para_id=1, text="", terms=Counter({"x": 1})),
+            Paragraph(doc_id="b", para_id=0, text="", terms=Counter({"y": 2})),
+            Paragraph(doc_id="b", para_id=1, text="", terms=Counter({"z": 1})),
         ]
-        paragraphs = (target, *filler)
-        return target, Index(paragraphs=paragraphs, documents=(),
-                             df_p={"x": 2, "y": 2, "z": 1}, df_d={})
+        idx = Index(paragraphs=(target, *filler))
+        assert target.pl == 10
+        assert idx.df_p == {"x": 2, "y": 2, "z": 1}
+        return target, idx
 
     def test_passage_formula(self):
         target, idx = self.make_passage_index()
@@ -143,16 +142,21 @@ class TestFormulaSpotChecks:
             pytest.approx(-5.2877124, abs=1e-4)
 
     def test_passage_formula_restricted_overrides(self):
+        # An index over a subset of paragraphs supplies its own N and n.
         target, idx = self.make_passage_index()
+        restricted = Index(paragraphs=(target, idx.paragraphs[2]))
         q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
-        got = passage_similarity(target, q, idx, n_p=2, df_p={"x": 1})
+        got = passage_similarity(target, q, restricted)
         # (2/1)*log2(4/10) * (2/1)*log2(2/1)
         assert got == pytest.approx(4 * math.log2(0.4), abs=1e-9)
 
     def test_document_formula(self):
-        doc = Document(doc_id="a", terms=Counter({"x": 3, "y": 1}), max_tf=3)
-        idx = Index(paragraphs=(), documents=(doc,) * 4,
-                    df_p={}, df_d={"x": 2, "y": 4})
+        idx = Index(paragraphs=tuple(
+            Paragraph(doc_id=d, para_id=0, text="", terms=Counter(terms))
+            for d, terms in [("a", {"x": 3, "y": 1}), ("b", {"x": 1, "y": 1}),
+                             ("c", {"y": 1}), ("d", {"y": 1})]))
+        doc = idx.documents[0]
+        assert (doc.max_tf, idx.df_d) == (3, {"x": 2, "y": 4})
         q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
         # (3/3)*log2(4/2) * (0.5+0.5)*log2(4/2)
         assert document_similarity(doc, q, idx) == pytest.approx(1.0, abs=1e-4)
@@ -161,13 +165,6 @@ class TestFormulaSpotChecks:
         target, idx = self.make_passage_index()
         q = Query.from_terms(["missing"])
         assert passage_similarity(target, q, idx) == 0.0
-
-    def test_log_base_change(self):
-        target, idx = self.make_passage_index()
-        q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
-        base2 = passage_similarity(target, q, idx, log_base=2.0)
-        base_e = passage_similarity(target, q, idx, log_base=math.e)
-        assert base_e == pytest.approx(base2 * math.log(2) ** 2, abs=1e-9)
 
 
 class TestFormulaOracle:
@@ -178,7 +175,7 @@ class TestFormulaOracle:
             idx = build_index(corpus, lexicons, stemmer)
             q = random_query(rng)
             para_counts, _, df_p, _ = oracle_stats(corpus)
-            assert set(df_p) == idx.vocabulary
+            assert set(df_p) == set(idx.df_p)
             for p in idx.paragraphs:
                 expected = oracle_passage_score(
                     para_counts[(p.doc_id, p.para_id)], q,
@@ -217,9 +214,9 @@ class TestTechniques:
 
     def test_paragraph_technique_tie_break(self):
         paras = tuple(Paragraph(doc_id=d, para_id=i, text="",
-                                terms=Counter({"x": 1}), pl=1)
+                                terms=Counter({"x": 1}))
                       for d, i in [("b", 1), ("a", 0), ("b", 0)])
-        idx = Index(paragraphs=paras, documents=(), df_p={"x": 3}, df_d={})
+        idx = Index(paragraphs=paras)
         q = Query.from_terms(["x"])
         top = paragraph_technique(idx, q, k=3)
         assert [(c.doc_id, c.para_id) for c in top] == \
@@ -233,19 +230,25 @@ class TestTechniques:
         assert {c.doc_id for c in top} <= {"a", "b"}
         assert len(top) == 3  # both docs' paragraphs, c excluded
 
-    def test_document_technique_restricted_vs_global_stats(self, lexicons,
-                                                           stemmer):
+    def test_document_technique_restricted_stats(self, lexicons, stemmer):
+        # N and n come from the retained documents' paragraphs, which
+        # differ here from the corpus-wide statistics.
         corpus = [("a", "x x x y\n\nx y"), ("b", "x z w"), ("c", "x q\n\nx r")]
         idx = build_index(corpus, lexicons, stemmer)
         q = Query.from_terms(["x", "y", "z"])
-        restricted = document_technique(idx, q, k_docs=2, k_paras=10,
-                                        restricted_stats=True)
-        global_ = document_technique(idx, q, k_docs=2, k_paras=10,
-                                     restricted_stats=False)
-        assert {(c.doc_id, c.para_id) for c in restricted} == \
-            {(c.doc_id, c.para_id) for c in global_}
-        assert any(abs(r.score - g.score) > 1e-12
-                   for r, g in zip(restricted, global_))
+        top = document_technique(idx, q, k_docs=2, k_paras=10)
+        para_counts, _, _, _ = oracle_stats(corpus)
+        retained = {k: v for k, v in para_counts.items() if k[0] in {"a", "b"}}
+        df = Counter(t for counts in retained.values() for t in counts)
+        assert {(c.doc_id, c.para_id) for c in top} == set(retained)
+        for c in top:
+            assert c.score == pytest.approx(oracle_passage_score(
+                retained[(c.doc_id, c.para_id)], q, len(retained), df),
+                abs=1e-9)
+        global_df = Counter(t for counts in para_counts.values() for t in counts)
+        assert any(abs(c.score - oracle_passage_score(
+            retained[(c.doc_id, c.para_id)], q, len(para_counts), global_df))
+            > 1e-12 for c in top)
 
     def test_document_technique_can_discard_best_paragraph(self, lexicons,
                                                            stemmer):
@@ -263,11 +266,16 @@ class TestTechniques:
         via_docs = document_technique(idx, q, k_docs=1, k_paras=1)[0]
         assert via_docs.doc_id == "b"
 
-    def test_paragraphs_by_id(self, lexicons, stemmer):
-        idx = build_index([("a", "x\n\ny")], lexicons, stemmer)
-        table = paragraphs_by_id(idx)
-        assert set(table) == {("a", 0), ("a", 1)}
-        assert table[("a", 1)].terms == Counter({"y": 1})
+    def test_candidates_are_index_paragraphs(self, lexicons, stemmer):
+        idx = build_index([("a", "x\n\ny"), ("b", "x y")], lexicons, stemmer)
+        q = Query.from_terms(["x", "y"])
+        for top in (paragraph_technique(idx, q, k=3),
+                    document_technique(idx, q, k_docs=2, k_paras=3)):
+            assert len(top) == 3
+            for c in top:
+                assert any(c.paragraph is p for p in idx.paragraphs)
+                assert (c.doc_id, c.para_id) == (c.paragraph.doc_id,
+                                                 c.paragraph.para_id)
 
 
 class TestPersistence:
@@ -296,8 +304,55 @@ class TestPersistence:
         path = tmp_path / "index.json"
         save_index(build_index([("a", "x")], lexicons, stemmer), path)
         tampered = path.read_text(encoding="utf-8").replace(
-            '"format_version": 1', '"format_version": 99')
+            f'"format_version": {INDEX_FORMAT_VERSION}', '"format_version": 99')
+        assert tampered != path.read_text(encoding="utf-8")
         path.write_text(tampered, encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_index(path)
+
+    def test_snapshot_holds_only_paragraphs(self, lexicons, stemmer, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index([("a", "x y x")], lexicons, stemmer), path)
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "format_version": INDEX_FORMAT_VERSION,
+            "paragraphs": [{"doc_id": "a", "para_id": 0, "text": "x y x",
+                            "terms": {"x": 2, "y": 1}}]}
+
+    GOOD = {"doc_id": "a", "para_id": 0, "text": "x", "terms": {"x": 1}}
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        "index",
+        {"format_version": INDEX_FORMAT_VERSION},
+        {"format_version": INDEX_FORMAT_VERSION, "paragraphs": []},
+        {"format_version": INDEX_FORMAT_VERSION, "paragraphs": {"a": 1}},
+        {"format_version": INDEX_FORMAT_VERSION, "paragraphs": [1]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{k: v for k, v in GOOD.items() if k != "terms"}]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "para_id": "0"}]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "para_id": True}]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "doc_id": None}]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "terms": ["x"]}]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "terms": {}}]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "terms": {"x": "1"}}]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "terms": {"x": 0}}]},
+        # a version-1 snapshot, which stored the statistics as well
+        {"format_version": 1,
+         "paragraphs": [{**GOOD, "pl": 1}],
+         "documents": [{"doc_id": "a", "terms": {"x": 1}, "max_tf": 1}],
+         "df_p": {"x": 1}, "df_d": {"x": 1}},
+        {"format_version": 1, "paragraphs": []},
+    ])
+    def test_malformed_snapshot_rejected(self, payload, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError):
             load_index(path)
 
