@@ -76,7 +76,7 @@ def cmd_index(config_file, out_path, **overrides):
         sys.exit(2)
     click.echo(f"documents: {idx.n_documents}")
     click.echo(f"paragraphs: {idx.n_paragraphs}")
-    click.echo(f"vocabulary: {len(idx.df_p)}")
+    click.echo(f"vocabulary: {len(idx.paragraph_postings)}")
     click.echo(f"snapshot: {out}")
 
 

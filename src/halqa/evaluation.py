@@ -34,16 +34,11 @@ class EvalReport:
     def accuracy(self) -> float:
         return self.correct / len(self.records) if self.records else 0.0
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"question": r.question, "gold": r.gold, "predicted": r.predicted,
-             "correct": r.correct}
-            for r in self.records
-        ]
-
     def to_json_lines(self) -> str:
-        lines = [json.dumps(row, ensure_ascii=False, sort_keys=True)
-                 for row in self.to_rows()]
+        lines = [json.dumps({"question": r.question, "gold": r.gold,
+                             "predicted": r.predicted, "correct": r.correct},
+                            ensure_ascii=False, sort_keys=True)
+                 for r in self.records]
         summary = {"corpus_size": self.corpus_size,
                    "total": len(self.records),
                    "correct": self.correct,

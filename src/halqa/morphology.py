@@ -127,12 +127,6 @@ class Thesaurus:
     synonyms: dict[str, frozenset[str]] = field(default_factory=dict)
     antonyms: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def lookup_synonyms(self, word: str) -> frozenset[str]:
-        return self.synonyms.get(word, frozenset())
-
-    def lookup_antonyms(self, word: str) -> frozenset[str]:
-        return self.antonyms.get(word, frozenset())
-
 
 def load_thesaurus(path: Path | str) -> Thesaurus:
     """Parse a TSV thesaurus: word<TAB>syn|ant<TAB>space-separated targets.

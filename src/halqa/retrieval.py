@@ -1,7 +1,12 @@
 """Corpus indexing and the two paragraph-retrieval techniques.
 
-Paragraph technique: score every paragraph corpus-wide with the passage
-similarity formula and keep the top k. Document technique: score whole
+The index maps each root to the paragraphs and to the documents that hold
+it (its postings). Retrieval scores only the units in the postings of the
+query's roots; every other unit shares no root with the query and scores
+0, so the ranking is the one a scan of the whole corpus would give.
+
+Paragraph technique: rank the paragraphs corpus-wide with the passage
+similarity formula and keep the top k. Document technique: rank whole
 documents first, keep the top documents, then rank their paragraphs with
 the passage formula, with statistics restricted to the retained
 documents.
@@ -9,13 +14,15 @@ documents.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 from .errors import EmptyCorpus
@@ -23,6 +30,10 @@ from .morphology import LightStemmer
 from .text_core import Lexicons, normalize, remove_stopwords, split_paragraphs, tokenize
 
 INDEX_FORMAT_VERSION = 2
+
+# root -> ascending positions of the units (paragraphs or documents)
+# holding it
+Postings = dict[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -58,23 +69,54 @@ class Document:
 
 @dataclass(frozen=True)
 class Index:
-    """Paragraphs in (doc_id, para_id) order. The documents, df_p (term ->
-    paragraphs containing it) and df_d (term -> documents containing it)
-    are derived from them."""
+    """Paragraphs in strictly ascending (doc_id, para_id) order, so a
+    unit's position is its rank among equal scores.
+
+    Derived from them: the documents; the postings of the paragraphs and
+    of the documents (root -> ascending positions in ``paragraphs`` or
+    ``documents``); and df_p and df_d, the postings' lengths. Each map is
+    derived on first use, so a technique never builds the postings of the
+    unit it does not rank.
+    """
     paragraphs: tuple[Paragraph, ...]
     documents: tuple[Document, ...] = field(init=False, repr=False)
-    df_p: dict[str, int] = field(init=False, repr=False)
-    df_d: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        # Compared pairwise, not as a list of keys: one live tuple per
+        # paragraph sets off an extra full garbage collection while loading
+        # a large snapshot.
+        ps = self.paragraphs
+        for a, b in zip(ps, ps[1:]):
+            if (a.doc_id, a.para_id) >= (b.doc_id, b.para_id):
+                raise ValueError("index paragraphs are not in strictly "
+                                 "ascending (doc_id, para_id) order at "
+                                 f"{b.doc_id}#{b.para_id}")
         by_doc: dict[str, list[Paragraph]] = {}
-        for p in self.paragraphs:
+        for p in ps:
             by_doc.setdefault(p.doc_id, []).append(p)
         documents = tuple(Document(doc_id, tuple(paras))
                           for doc_id, paras in by_doc.items())
         object.__setattr__(self, "documents", documents)
-        object.__setattr__(self, "df_p", _frequencies(self.paragraphs))
-        object.__setattr__(self, "df_d", _frequencies(documents))
+
+    @cached_property
+    def paragraph_postings(self) -> Postings:
+        return _postings(self.paragraphs)
+
+    @cached_property
+    def document_postings(self) -> Postings:
+        return _postings(self.documents)
+
+    @cached_property
+    def df_p(self) -> dict[str, int]:
+        """Root -> number of paragraphs holding it."""
+        return dict(zip(self.paragraph_postings,
+                        map(len, self.paragraph_postings.values())))
+
+    @cached_property
+    def df_d(self) -> dict[str, int]:
+        """Root -> number of documents holding it."""
+        return dict(zip(self.document_postings,
+                        map(len, self.document_postings.values())))
 
     @property
     def n_paragraphs(self) -> int:
@@ -85,9 +127,15 @@ class Index:
         return len(self.documents)
 
 
-def _frequencies(units) -> dict[str, int]:
-    """Term -> number of units (paragraphs or documents) containing it."""
-    return Counter(chain.from_iterable(unit.terms for unit in units))
+def _postings(units) -> Postings:
+    """The postings of a sequence of paragraphs or of documents."""
+    postings = defaultdict(list)
+    for i, unit in enumerate(units):
+        for term in unit.terms:
+            postings[term].append(i)
+    # Tuples, not lists: the garbage collector stops tracking a tuple of
+    # ints, so a large vocabulary adds no work to its full collections.
+    return dict(zip(postings, map(tuple, postings.values())))
 
 
 @dataclass(frozen=True)
@@ -117,25 +165,24 @@ class ScoredCandidate:
         return self.paragraph.para_id
 
 
-def paragraph_terms(text: str, lexicons: Lexicons,
-                    stemmer: LightStemmer) -> Counter:
-    """Root-term multiset of a paragraph: normalize, tokenize, drop
-    stopwords, stem."""
-    tokens = remove_stopwords(tokenize(normalize(text)), lexicons)
-    return Counter(stemmer.stem(t.surface) for t in tokens)
-
-
 def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
                 stemmer: LightStemmer) -> Index:
     """Index a corpus of (doc_id, raw text) pairs.
 
+    A paragraph's terms are its root multiset: normalize, tokenize, drop
+    stopwords, stem. Each distinct surface word is stemmed once per build.
     Paragraphs with no indexable terms are skipped; a document whose
     paragraphs are all empty is excluded entirely.
     """
+    roots: dict[str, str] = {}  # surface word -> root, for this build only
     paragraphs = []
     for doc_id, text in sorted(corpus):
         for para_id, para_text in enumerate(split_paragraphs(text)):
-            terms = paragraph_terms(para_text, lexicons, stemmer)
+            words = [t.surface for t in remove_stopwords(
+                tokenize(normalize(para_text)), lexicons)]
+            for word in set(words).difference(roots):
+                roots[word] = stemmer.stem(word)
+            terms = Counter(roots[w] for w in words)
             if terms:
                 paragraphs.append(Paragraph(doc_id=doc_id, para_id=para_id,
                                             text=para_text, terms=terms))
@@ -162,6 +209,13 @@ def passage_similarity(p: Paragraph, q: Query, idx: Index) -> float:
 
     N and n are counted over the index's paragraphs; terms absent from
     the paragraph or from the index contribute 0.
+
+    A shared root's term is negative when one of (tf+1)/pl and (qtf+1)/ql
+    is above 1 and the other below 1: a paragraph of that root alone
+    against a root asked once among three or more ("x" for the query
+    "x y w"), or a paragraph of three or more roots against a one-root
+    query. A paragraph scoring below 0 ranks below those sharing no root
+    with the query. That is the formula as printed, and it is kept.
     """
     n_total = idx.n_paragraphs
     score = 0.0
@@ -200,16 +254,39 @@ def document_similarity(d: Document, q: Query, idx: Index) -> float:
     return score
 
 
+def _top(units, postings: Postings, q: Query, k: int,
+         similarity, idx: Index) -> list[tuple[int, float]]:
+    """The k best (position, score) pairs of ``units``, ranked by score
+    descending, then by position.
+
+    Only the units in the postings of the query's roots are scored; the
+    rest score 0. Positive scores come first, then zero scores in position
+    order, walking ``units`` only until k is filled, then negative scores.
+    """
+    hits = set().union(*(postings.get(term, ()) for term in q.qtf))
+    scores = {i: similarity(units[i], q, idx) for i in hits}
+    top = heapq.nsmallest(k, ((-s, i) for i, s in scores.items() if s > 0))
+    zeros = (i for i in range(len(units)) if scores.get(i, 0.0) == 0.0)
+    top += [(0.0, i) for i in islice(zeros, k - len(top))]
+    top += heapq.nsmallest(k - len(top),
+                           ((-s, i) for i, s in scores.items() if s < 0))
+    return [(i, scores.get(i, 0.0)) for _, i in top]
+
+
 def _top_paragraphs(idx: Index, q: Query, k: int) -> list[ScoredCandidate]:
-    scored = sorted(((passage_similarity(p, q, idx), p) for p in idx.paragraphs),
-                    key=lambda sp: (-sp[0], sp[1].doc_id, sp[1].para_id))
-    return [ScoredCandidate(paragraph=p, score=s) for s, p in scored[:k]]
+    return [ScoredCandidate(paragraph=idx.paragraphs[i], score=s)
+            for i, s in _top(idx.paragraphs, idx.paragraph_postings, q, k,
+                             passage_similarity, idx)]
 
 
 def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[ScoredCandidate]:
-    """Rank all paragraphs corpus-wide; return the top k.
+    """Rank the paragraphs corpus-wide; return the top k.
 
-    Ties break by (doc_id, para_id) ascending.
+    Only the paragraphs in the postings of the query's roots are scored,
+    and the ranking is the full ranking of all paragraphs: a paragraph
+    sharing no root scores 0, and ties break by (doc_id, para_id)
+    ascending. Zero scores rank above negative ones (see
+    passage_similarity).
     """
     return _top_paragraphs(idx, q, k)
 
@@ -218,19 +295,22 @@ def document_technique(idx: Index, q: Query, k_docs: int = 5,
                        k_paras: int = 5) -> list[ScoredCandidate]:
     """Rank documents, keep the top k_docs, then rank their paragraphs.
 
-    The passage formula's N and n are taken over the retained documents'
-    paragraphs only. Document ties break by doc_id ascending.
+    Documents are ranked through the postings as paragraphs are; document
+    scores are never negative. The passage formula's N and n are taken
+    over the retained documents' paragraphs only. Document ties break by
+    doc_id ascending.
     """
-    ranked = sorted(idx.documents,
-                    key=lambda d: (-document_similarity(d, q, idx), d.doc_id))
-    retained = Index(paragraphs=tuple(p for d in ranked[:k_docs]
-                                      for p in d.paragraphs))
+    top = _top(idx.documents, idx.document_postings, q, k_docs,
+               document_similarity, idx)
+    retained = Index(paragraphs=tuple(p for i, _ in sorted(top)
+                                      for p in idx.documents[i].paragraphs))
     return _top_paragraphs(retained, q, k_paras)
 
 
 def save_index(idx: Index, path: Path | str) -> None:
     """Persist the index's paragraphs as a JSON snapshot, replacing any
-    existing file atomically. Everything else is derived on load."""
+    existing file atomically, with the mode the umask allows (0644 under
+    umask 022). Everything else is derived from the paragraphs."""
     path = Path(path)
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
@@ -244,6 +324,11 @@ def save_index(idx: Index, path: Path | str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, ensure_ascii=False)
+        # mkstemp creates the file readable by its owner only; give it the
+        # mode a plain open() would. The umask can only be read by setting it.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -270,7 +355,8 @@ def _paragraph_from_record(record) -> Paragraph:
 
 def load_index(path: Path | str) -> Index:
     """Read a snapshot written by save_index. Raises ValueError for any
-    other format version or a payload of the wrong shape."""
+    other format version, a payload of the wrong shape, or paragraphs not
+    in strictly ascending (doc_id, para_id) order."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("index snapshot is not a JSON object")

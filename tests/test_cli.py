@@ -10,7 +10,7 @@ from halqa.errors import LexiconParseError
 from halqa.evaluation import load_questions, sweep
 from halqa.retrieval import INDEX_FORMAT_VERSION
 
-from conftest import CORPUS_DIR, QUESTIONS
+from conftest import CORPUS_DIR, FIXTURES, QUESTIONS
 
 
 @pytest.fixture()
@@ -36,6 +36,7 @@ class TestIndexCommand:
         assert result.exit_code == 0, result.output
         assert "documents: 2" in result.output
         assert "paragraphs: 3" in result.output
+        assert "vocabulary: 10" in result.output
         assert out.is_file()
         snapshot = json.loads(out.read_text(encoding="utf-8"))
         assert snapshot["format_version"] == INDEX_FORMAT_VERSION
@@ -131,6 +132,15 @@ class TestAskCommand:
         '{"format_version": %d, "paragraphs": [{"doc_id": "d1"}]}'
         % INDEX_FORMAT_VERSION,
         "{not json",
+        # a paragraph given twice, and paragraphs in reverse order
+        json.dumps({"format_version": INDEX_FORMAT_VERSION, "paragraphs": [
+            {"doc_id": "d1", "para_id": 0, "text": "محمد ولد جميل",
+             "terms": {"محمد": 1, "ولد": 1, "جميل": 1}}] * 2}),
+        json.dumps({"format_version": INDEX_FORMAT_VERSION, "paragraphs": [
+            {"doc_id": "d2", "para_id": 0, "text": "فتح محمود الباب",
+             "terms": {"فتح": 1, "محمود": 1, "باب": 1}},
+            {"doc_id": "d1", "para_id": 0, "text": "محمد ولد جميل",
+             "terms": {"محمد": 1, "ولد": 1, "جميل": 1}}]}),
     ])
     def test_bad_snapshot_exits_2(self, runner, content, tmp_path):
         snap = tmp_path / "snap.json"
@@ -214,6 +224,21 @@ class TestEvalCommand:
         result = runner.invoke(main, ["eval", "--corpus", str(small_corpus),
                                       str(path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("golden, flags", [
+        ("default.jsonl", []),
+        ("technique_document.jsonl", ["--technique", "document"]),
+        ("advanced_off_thesaurus_off.jsonl",
+         ["--advanced", "off", "--thesaurus", "off"]),
+        ("sweep_5_10_13.jsonl", ["--sweep", "5,10,13"]),
+    ])
+    def test_fixture_eval_matches_golden(self, runner, golden, flags):
+        # A change that keeps behaviour leaves these bytes as they are.
+        result = runner.invoke(main, ["eval", "--corpus", str(CORPUS_DIR),
+                                      "--json", *flags, str(QUESTIONS)])
+        assert result.exit_code == 0, result.output
+        assert result.output.encode("utf-8") == \
+            (FIXTURES / "eval" / golden).read_bytes()
 
     def test_fixture_suite_runs(self, runner):
         result = runner.invoke(main, ["eval", "--corpus", str(CORPUS_DIR),

@@ -129,21 +129,21 @@ class TestThesaurus:
         path = tmp_path / "t.tsv"
         path.write_text("جميل\tant\tقبيح\n", encoding="utf-8")
         t = load_thesaurus(path)
-        assert t.lookup_antonyms("جميل") == {"قبيح"}
-        assert t.lookup_synonyms("جميل") == frozenset()
-        assert t.lookup_synonyms("غائب") == frozenset()
+        assert t.antonyms.get("جميل") == {"قبيح"}
+        assert t.synonyms.get("جميل") is None
+        assert t.synonyms.get("غائب") is None
 
     def test_duplicate_keys_merge(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("كلمة\tsyn\tاولى\nكلمة\tsyn\tثانية ثالثة\n",
                         encoding="utf-8")
         t = load_thesaurus(path)
-        assert t.lookup_synonyms("كلمة") == {"اولى", "ثانية", "ثالثة"}
+        assert t.synonyms.get("كلمة") == {"اولى", "ثانية", "ثالثة"}
 
     def test_normalized_on_load(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("فتح\tant\tأغلق\n", encoding="utf-8")
-        assert load_thesaurus(path).lookup_antonyms("فتح") == {"اغلق"}
+        assert load_thesaurus(path).antonyms.get("فتح") == {"اغلق"}
 
     def test_conflict_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"

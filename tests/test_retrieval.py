@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import random
+import stat
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from halqa.errors import EmptyCorpus
+from halqa.morphology import LightStemmer
 from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
                              build_index, build_index_from_dir,
                              document_similarity, document_technique,
@@ -76,6 +80,35 @@ def oracle_document_score(counts, q, n_docs, df):
     return score
 
 
+def full_scan_paragraphs(idx: Index, q: Query, k: int):
+    """Reference ranking: score every paragraph, sort by score descending,
+    then (doc_id, para_id)."""
+    scored = sorted(((passage_similarity(p, q, idx), p) for p in idx.paragraphs),
+                    key=lambda sp: (-sp[0], sp[1].doc_id, sp[1].para_id))
+    return [((p.doc_id, p.para_id), s) for s, p in scored[:k]]
+
+
+def full_scan_documents(idx: Index, q: Query, k_docs: int, k_paras: int):
+    """Reference document technique: score every document, keep the top
+    k_docs, rank their paragraphs by full scan over an index of them."""
+    ranked = sorted(idx.documents,
+                    key=lambda d: (-document_similarity(d, q, idx), d.doc_id))
+    kept = sorted(ranked[:k_docs], key=lambda d: d.doc_id)
+    retained = Index(paragraphs=tuple(p for d in kept for p in d.paragraphs))
+    return full_scan_paragraphs(retained, q, k_paras)
+
+
+# Few words, so that paragraphs share roots, tie and repeat; the query may
+# also hold words no paragraph has.
+_WORDS = VOCAB[:5]
+_corpora = st.lists(
+    st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6)
+             .map(" ".join), min_size=1, max_size=4).map("\n\n".join),
+    min_size=1, max_size=8,
+).map(lambda docs: [(f"d{i:02d}", text) for i, text in enumerate(docs)])
+_queries = st.lists(st.sampled_from(VOCAB[:7]), min_size=1, max_size=6)
+
+
 class TestIndexing:
     def test_counts(self, lexicons, stemmer):
         idx = build_index([("a", "t1 t2\n\nt1"), ("b", "t3")],
@@ -107,6 +140,30 @@ class TestIndexing:
         idx = build_index([("a", "فتح محمود الباب")], lexicons, stemmer)
         assert idx.paragraphs[0].terms == Counter(
             {"فتح": 1, "محمود": 1, "باب": 1})
+
+    def test_stems_each_distinct_word_once_per_build(self, lexicons, stemmer):
+        calls = Counter()
+
+        class CountingStemmer(LightStemmer):
+            def stem(self, word):
+                calls[word] += 1
+                return super().stem(word)
+
+        counting = CountingStemmer(stemmer.overrides, stemmer.tag_overrides)
+        corpus = [("a", "فتح محمود الباب\n\nالباب باب t1 t1"),
+                  ("b", "t1 فتح الباب")]
+        idx = build_index(corpus, lexicons, counting)
+        assert idx == build_index(corpus, lexicons, stemmer)
+        assert calls == {"فتح": 1, "محمود": 1, "الباب": 1, "باب": 1, "t1": 1}
+        build_index(corpus, lexicons, counting)  # the memo is per build
+        assert set(calls.values()) == {2}
+
+    def test_postings(self, lexicons, stemmer):
+        idx = build_index([("a", "t1 t2\n\nt1"), ("b", "t3 t1")],
+                          lexicons, stemmer)
+        assert idx.paragraph_postings == {"t1": (0, 1, 2), "t2": (0,),
+                                          "t3": (2,)}
+        assert idx.document_postings == {"t1": (0, 1), "t2": (0,), "t3": (1,)}
 
     def test_build_from_dir(self, lexicons, stemmer):
         idx = build_index_from_dir(CORPUS_DIR, lexicons, stemmer)
@@ -212,15 +269,53 @@ class TestTechniques:
                              for p in idx.paragraphs), reverse=True)
         assert scores == pytest.approx(all_scores[:len(scores)])
 
-    def test_paragraph_technique_tie_break(self):
+    def test_paragraph_technique_tie_break(self, lexicons, stemmer):
         paras = tuple(Paragraph(doc_id=d, para_id=i, text="",
                                 terms=Counter({"x": 1}))
                       for d, i in [("b", 1), ("a", 0), ("b", 0)])
-        idx = Index(paragraphs=paras)
+        # An index holds its paragraphs in (doc_id, para_id) order only.
+        with pytest.raises(ValueError):
+            Index(paragraphs=paras)
+        idx = build_index([("b", "x\n\nx"), ("a", "x")], lexicons, stemmer)
         q = Query.from_terms(["x"])
         top = paragraph_technique(idx, q, k=3)
         assert [(c.doc_id, c.para_id) for c in top] == \
             [("a", 0), ("b", 0), ("b", 1)]
+        assert len({c.score for c in top}) == 1
+
+    def test_negative_score_ranks_below_unmatched(self, lexicons, stemmer):
+        # ql = 3 and tf + 1 > pl: W_p = 2 log2(2/1) > 0 and
+        # W_q = 2 log2(2/3) < 0, so the only paragraph holding a query root
+        # ranks below the one that holds none.
+        idx = build_index([("a", "x"), ("b", "z z")], lexicons, stemmer)
+        q = Query.from_terms(["x", "y", "w"])
+        top = paragraph_technique(idx, q, k=2)
+        assert [(c.doc_id, c.para_id) for c in top] == [("b", 0), ("a", 0)]
+        assert top[0].score == 0.0
+        assert top[1].score == pytest.approx(4 * math.log2(2 / 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=_corpora, terms=_queries, k=st.integers(1, 40),
+           k_docs=st.integers(1, 10))
+    # negative scores: tf + 1 > pl with ql = 3
+    @example(corpus=[("a", "t0"), ("b", "t1 t1"), ("c", "t0 t2")],
+             terms=["t0", "t3", "t4"], k=3, k_docs=3)
+    # ql = 2: every score is 0, k above the matches
+    @example(corpus=[("a", "t1\n\nt0 t2"), ("b", "t0")],
+             terms=["t0", "t1"], k=10, k_docs=1)
+    # tied positive scores across documents, fewer positives than k
+    @example(corpus=[("a", "t0 t1"), ("b", "t2"), ("c", "t0 t1")],
+             terms=["t0"], k=3, k_docs=2)
+    def test_techniques_match_full_scan(self, lexicons, stemmer, corpus,
+                                        terms, k, k_docs):
+        idx = build_index(corpus, lexicons, stemmer)
+        q = Query.from_terms(terms)
+        got = [((c.doc_id, c.para_id), c.score)
+               for c in paragraph_technique(idx, q, k)]
+        assert got == full_scan_paragraphs(idx, q, k)
+        got = [((c.doc_id, c.para_id), c.score)
+               for c in document_technique(idx, q, k_docs, k)]
+        assert got == full_scan_documents(idx, q, k_docs, k)
 
     def test_document_technique_restricts_paragraphs(self, lexicons, stemmer):
         corpus = [("a", "x x x\n\nx y"), ("b", "x z"), ("c", "w w")]
@@ -300,6 +395,17 @@ class TestPersistence:
         assert load_index(path) == second
         assert list(tmp_path.iterdir()) == [path]  # no stray temp files
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_snapshot_mode_follows_umask(self, lexicons, stemmer, tmp_path,
+                                         umask, mode):
+        path = tmp_path / "index.json"
+        previous = os.umask(umask)
+        try:
+            save_index(build_index([("a", "x")], lexicons, stemmer), path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
     def test_version_check(self, lexicons, stemmer, tmp_path):
         path = tmp_path / "index.json"
         save_index(build_index([("a", "x")], lexicons, stemmer), path)
@@ -343,6 +449,12 @@ class TestPersistence:
          "paragraphs": [{**GOOD, "terms": {"x": "1"}}]},
         {"format_version": INDEX_FORMAT_VERSION,
          "paragraphs": [{**GOOD, "terms": {"x": 0}}]},
+        # paragraphs not in strictly ascending (doc_id, para_id) order
+        {"format_version": INDEX_FORMAT_VERSION, "paragraphs": [GOOD, GOOD]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "para_id": 1}, GOOD]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "doc_id": "b"}, GOOD]},
         # a version-1 snapshot, which stored the statistics as well
         {"format_version": 1,
          "paragraphs": [{**GOOD, "pl": 1}],
