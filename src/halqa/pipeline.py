@@ -9,9 +9,10 @@ from pathlib import Path
 from .answer_selection import Verdict, select_answer
 from .config import Config
 from .errors import EmptyCorpus
-from .morphology import LightStemmer, Thesaurus, load_thesaurus
-from .question_analysis import (ParsedQuestion, RepSet, build_representations,
-                                parse_question, preprocess_special_verb,
+from .morphology import LightStemmer, load_thesaurus
+from .question_analysis import (ParsedQuestion, RepSet, StemmedThesaurus,
+                                build_representations, parse_question,
+                                preprocess_special_verb,
                                 retrieval_term_multiset)
 from .retrieval import (Index, Query, ScoredCandidate, build_index_from_dir,
                         document_technique, load_index, paragraph_technique,
@@ -36,7 +37,8 @@ class Engine:
         self.lexicons = Lexicons.from_files(config.stopwords, config.negation,
                                             config.article_exceptions)
         self.stemmer = LightStemmer.from_file(config.stem_overrides)
-        self.thesaurus: Thesaurus = load_thesaurus(config.thesaurus)
+        self.thesaurus = StemmedThesaurus.build(
+            load_thesaurus(config.thesaurus), self.stemmer)
         self._index: Index | None = None
 
     @property

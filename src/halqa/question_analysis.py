@@ -5,6 +5,7 @@ logical representations (base, synonym, antonym) with negation tracking.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .errors import MalformedQuestion
@@ -146,25 +147,38 @@ def preprocess_special_verb(q: ParsedQuestion,
     return q
 
 
-def _relation_candidates(relation: str, stemmer: LightStemmer,
-                         thesaurus_map: dict) -> frozenset[str]:
+@dataclass(frozen=True)
+class StemmedThesaurus:
+    """A thesaurus stemmed once for relation lookup. Each map is a pair:
+    key -> target roots, and key root -> the target roots of every key
+    with that root."""
+    synonyms: tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]
+    antonyms: tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]
+
+    @classmethod
+    def build(cls, thesaurus: Thesaurus,
+              stemmer: LightStemmer) -> "StemmedThesaurus":
+        def stemmed(thesaurus_map):
+            by_key = {key: frozenset(map(stemmer.stem, targets))
+                      for key, targets in thesaurus_map.items()}
+            by_root = defaultdict(frozenset)
+            for key, roots in by_key.items():
+                by_root[stemmer.stem(key)] |= roots
+            return by_key, dict(by_root)
+        return cls(stemmed(thesaurus.synonyms), stemmed(thesaurus.antonyms))
+
+
+def _relation_candidates(relation: str, root: str,
+                         maps: tuple[dict, dict]) -> frozenset[str]:
     # Surface form first, then the root, then any key sharing the root
     # (the stemmer may clip a root differently from the thesaurus
     # author's citation form); first hit wins.
-    hits = thesaurus_map.get(relation, frozenset())
-    if not hits:
-        root = stemmer.stem(relation)
-        hits = thesaurus_map.get(root, frozenset())
-        if not hits:
-            merged: set[str] = set()
-            for key, targets in thesaurus_map.items():
-                if stemmer.stem(key) == root:
-                    merged.update(targets)
-            hits = merged
-    return frozenset(stemmer.stem(w) for w in hits)
+    by_key, by_root = maps
+    return (by_key.get(relation) or by_key.get(root)
+            or by_root.get(root, frozenset()))
 
 
-def build_representations(q: ParsedQuestion, thesaurus: Thesaurus,
+def build_representations(q: ParsedQuestion, thesaurus: StemmedThesaurus,
                           stemmer: LightStemmer,
                           use_thesaurus: bool = True) -> RepSet:
     """Expand a parsed question into its logical representations.
@@ -182,15 +196,13 @@ def build_representations(q: ParsedQuestion, thesaurus: Thesaurus,
                           remaining_roots=remaining_roots,
                           provenance=provenance)
 
-    reps = [rep(frozenset({stemmer.stem(q.relation)}), q.negated,
-                Provenance.BASE)]
+    root = stemmer.stem(q.relation)
+    reps = [rep(frozenset({root}), q.negated, Provenance.BASE)]
     if use_thesaurus:
-        synonyms = _relation_candidates(q.relation, stemmer,
-                                        thesaurus.synonyms)
+        synonyms = _relation_candidates(q.relation, root, thesaurus.synonyms)
         if synonyms:
             reps.append(rep(synonyms, q.negated, Provenance.SYNONYM))
-        antonyms = _relation_candidates(q.relation, stemmer,
-                                        thesaurus.antonyms)
+        antonyms = _relation_candidates(q.relation, root, thesaurus.antonyms)
         if antonyms:
             reps.append(rep(antonyms, not q.negated, Provenance.ANTONYM))
     return RepSet(reps=tuple(reps), source=q)

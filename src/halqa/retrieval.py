@@ -1,15 +1,14 @@
 """Corpus indexing and the two paragraph-retrieval techniques.
 
 The index maps each root to the paragraphs and to the documents that hold
-it (its postings). Retrieval scores only the units in the postings of the
-query's roots; every other unit shares no root with the query and scores
+it (its postings). Retrieval scores term at a time: for each query root,
+its query weight times each posting's precomputed weight is added to that
+unit's score. Every other unit shares no root with the query and scores
 0, so the ranking is the one a scan of the whole corpus would give.
 
 Paragraph technique: rank the paragraphs corpus-wide with the passage
-similarity formula and keep the top k. Document technique: rank whole
-documents first, keep the top documents, then rank their paragraphs with
-the passage formula, with statistics restricted to the retained
-documents.
+formula. Document technique: rank documents, keep the top ones, then rank
+their paragraphs with statistics restricted to them.
 """
 
 from __future__ import annotations
@@ -19,10 +18,12 @@ import json
 import math
 import os
 import tempfile
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import EmptyCorpus
@@ -31,8 +32,7 @@ from .text_core import Lexicons, normalize, remove_stopwords, split_paragraphs, 
 
 INDEX_FORMAT_VERSION = 2
 
-# root -> ascending positions of the units (paragraphs or documents)
-# holding it
+# root -> ascending positions of the paragraphs or documents holding it
 Postings = dict[str, tuple[int, ...]]
 
 
@@ -72,14 +72,16 @@ class Index:
     """Paragraphs in strictly ascending (doc_id, para_id) order, so a
     unit's position is its rank among equal scores.
 
-    Derived from them: the documents; the postings of the paragraphs and
-    of the documents (root -> ascending positions in ``paragraphs`` or
-    ``documents``); and df_p and df_d, the postings' lengths. Each map is
-    derived on first use, so a technique never builds the postings of the
-    unit it does not rank.
+    Derived from them: the documents; on first use, the postings of the
+    paragraphs and of the documents, whose lengths are the document
+    frequencies, and one root at a time the weights of those postings.
     """
     paragraphs: tuple[Paragraph, ...]
     documents: tuple[Document, ...] = field(init=False, repr=False)
+    paragraph_weights: dict[str, array] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    document_weights: dict[str, array] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Compared pairwise, not as a list of keys: one live tuple per
@@ -105,18 +107,6 @@ class Index:
     @cached_property
     def document_postings(self) -> Postings:
         return _postings(self.documents)
-
-    @cached_property
-    def df_p(self) -> dict[str, int]:
-        """Root -> number of paragraphs holding it."""
-        return dict(zip(self.paragraph_postings,
-                        map(len, self.paragraph_postings.values())))
-
-    @cached_property
-    def df_d(self) -> dict[str, int]:
-        """Root -> number of documents holding it."""
-        return dict(zip(self.document_postings,
-                        map(len, self.document_postings.values())))
 
     @property
     def n_paragraphs(self) -> int:
@@ -203,6 +193,21 @@ def build_index_from_dir(corpus_dir: Path | str, lexicons: Lexicons,
     return build_index(corpus, lexicons, stemmer)
 
 
+def _w_p(tf: int, length: int, n_total: int, n: int) -> float:
+    """(N/n) log2((tf+1)/length): W_p from tf and pl, W_q from qtf and ql."""
+    return (n_total / n) * math.log2((tf + 1) / length)
+
+
+def _w_dt(tf: int, max_tf: int, n_total: int, n: int) -> float:
+    """W_dt = (tf/max_tf) log2(N/n)."""
+    return (tf / max_tf) * math.log2(n_total / n)
+
+
+def _w_qt(qtf: int, max_qf: int, n_total: int, n: int) -> float:
+    """W_qt = (0.5 + 0.5*qtf/max_qf) log2(N/n)."""
+    return (0.5 + 0.5 * qtf / max_qf) * math.log2(n_total / n)
+
+
 def passage_similarity(p: Paragraph, q: Query, idx: Index) -> float:
     """Passage-query similarity: sum over shared terms of W_p * W_q with
     W_p = (N/n) log2((tf+1)/pl) and W_q = (N/n) log2((qtf+1)/ql).
@@ -217,19 +222,8 @@ def passage_similarity(p: Paragraph, q: Query, idx: Index) -> float:
     query. A paragraph scoring below 0 ranks below those sharing no root
     with the query. That is the formula as printed, and it is kept.
     """
-    n_total = idx.n_paragraphs
-    score = 0.0
-    for term, qtf in q.qtf.items():
-        tf = p.terms.get(term)
-        if not tf:
-            continue
-        n = idx.df_p.get(term)
-        if not n:
-            continue
-        w_p = (n_total / n) * math.log2((tf + 1) / p.pl)
-        w_q = (n_total / n) * math.log2((qtf + 1) / q.ql)
-        score += w_p * w_q
-    return score
+    return _similarity(p.terms, p.pl, q, q.ql, idx.paragraph_postings,
+                       idx.n_paragraphs, _w_p, _w_p)
 
 
 def document_similarity(d: Document, q: Query, idx: Index) -> float:
@@ -239,56 +233,82 @@ def document_similarity(d: Document, q: Query, idx: Index) -> float:
 
     The query-side normalizer is the query's own maximum term frequency.
     """
+    return _similarity(d.terms, d.max_tf, q, q.max_qf, idx.document_postings,
+                       idx.n_documents, _w_dt, _w_qt)
+
+
+def _similarity(terms: dict[str, int], norm: int, q: Query, query_norm: int,
+                postings: Postings, n_total: int, weight,
+                query_weight) -> float:
+    """Sum over the unit's query roots, in q.qtf order, of W_unit * W_q."""
     score = 0.0
     for term, qtf in q.qtf.items():
-        tf = d.terms.get(term)
-        if not tf:
-            continue
-        n = idx.df_d.get(term)
-        if not n:
-            continue
-        idf = math.log2(idx.n_documents / n)
-        w_d = (tf / d.max_tf) * idf
-        w_q = (0.5 + 0.5 * qtf / q.max_qf) * idf
-        score += w_d * w_q
+        tf, n = terms.get(term), len(postings.get(term, ()))
+        if tf and n:
+            score += (weight(tf, norm, n_total, n)
+                      * query_weight(qtf, query_norm, n_total, n))
     return score
 
 
-def _top(units, postings: Postings, q: Query, k: int,
-         similarity, idx: Index) -> list[tuple[int, float]]:
-    """The k best (position, score) pairs of ``units``, ranked by score
-    descending, then by position.
+def _accumulate(units, postings: Postings, weights: dict[str, array],
+                q: Query, weight, norm, query_weight,
+                query_norm: int) -> dict[int, float]:
+    """``_similarity`` of each unit holding a query root, term at a time:
+    the same sum to the bit. Weights are kept in ``weights`` per root."""
+    scores: dict[int, float] = {}
+    get = scores.get
+    for root, qtf in q.qtf.items():
+        if positions := postings.get(root):
+            n_total, n = len(units), len(positions)
+            if root not in weights:  # 8 bytes a weight, and no gc tracking
+                weights[root] = array("d", [
+                    weight(units[i].terms[root], norm(units[i]), n_total, n)
+                    for i in positions])
+            w_q = query_weight(qtf, query_norm, n_total, n)
+            for i, w in zip(positions, weights[root]):
+                scores[i] = get(i, 0.0) + w * w_q
+    return scores
 
-    Only the units in the postings of the query's roots are scored; the
+
+def _top(scores: dict[int, float], n: int, k: int) -> list[tuple[int, float]]:
+    """The k best (position, score) pairs among ``n`` units, ranked
+    by score descending, then by position.
+
+    ``scores`` holds the units in the postings of the query's roots; the
     rest score 0. Positive scores come first, then zero scores in position
-    order, walking ``units`` only until k is filled, then negative scores.
+    order, walking the units only until k is filled, then negative scores.
     """
-    hits = set().union(*(postings.get(term, ()) for term in q.qtf))
-    scores = {i: similarity(units[i], q, idx) for i in hits}
     top = heapq.nsmallest(k, ((-s, i) for i, s in scores.items() if s > 0))
-    zeros = (i for i in range(len(units)) if scores.get(i, 0.0) == 0.0)
+    zeros = (i for i in range(n) if scores.get(i, 0.0) == 0.0)
     top += [(0.0, i) for i in islice(zeros, k - len(top))]
     top += heapq.nsmallest(k - len(top),
                            ((-s, i) for i, s in scores.items() if s < 0))
     return [(i, scores.get(i, 0.0)) for _, i in top]
 
 
-def _top_paragraphs(idx: Index, q: Query, k: int) -> list[ScoredCandidate]:
-    return [ScoredCandidate(paragraph=idx.paragraphs[i], score=s)
-            for i, s in _top(idx.paragraphs, idx.paragraph_postings, q, k,
-                             passage_similarity, idx)]
+def paragraph_scores(idx: Index, q: Query) -> dict[int, float]:
+    """Position -> passage_similarity of each paragraph holding a query root."""
+    return _accumulate(idx.paragraphs, idx.paragraph_postings,
+                       idx.paragraph_weights, q, _w_p, attrgetter("pl"),
+                       _w_p, q.ql)
+
+
+def document_scores(idx: Index, q: Query) -> dict[int, float]:
+    """Position -> document_similarity of each document holding a query root."""
+    return _accumulate(idx.documents, idx.document_postings,
+                       idx.document_weights, q, _w_dt,
+                       attrgetter("max_tf"), _w_qt, q.max_qf)
 
 
 def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[ScoredCandidate]:
     """Rank the paragraphs corpus-wide; return the top k.
 
-    Only the paragraphs in the postings of the query's roots are scored,
-    and the ranking is the full ranking of all paragraphs: a paragraph
-    sharing no root scores 0, and ties break by (doc_id, para_id)
-    ascending. Zero scores rank above negative ones (see
-    passage_similarity).
+    Only the paragraphs holding a query root are scored, and the ranking
+    is that of all paragraphs: the rest score 0, ties break by (doc_id,
+    para_id) ascending, and zero scores rank above negative ones.
     """
-    return _top_paragraphs(idx, q, k)
+    return [ScoredCandidate(paragraph=idx.paragraphs[i], score=s)
+            for i, s in _top(paragraph_scores(idx, q), idx.n_paragraphs, k)]
 
 
 def document_technique(idx: Index, q: Query, k_docs: int = 5,
@@ -300,11 +320,10 @@ def document_technique(idx: Index, q: Query, k_docs: int = 5,
     over the retained documents' paragraphs only. Document ties break by
     doc_id ascending.
     """
-    top = _top(idx.documents, idx.document_postings, q, k_docs,
-               document_similarity, idx)
+    top = _top(document_scores(idx, q), idx.n_documents, k_docs)
     retained = Index(paragraphs=tuple(p for i, _ in sorted(top)
                                       for p in idx.documents[i].paragraphs))
-    return _top_paragraphs(retained, q, k_paras)
+    return paragraph_technique(retained, q, k_paras)
 
 
 def save_index(idx: Index, path: Path | str) -> None:
@@ -312,18 +331,19 @@ def save_index(idx: Index, path: Path | str) -> None:
     existing file atomically, with the mode the umask allows (0644 under
     umask 022). Everything else is derived from the paragraphs."""
     path = Path(path)
-    payload = {
-        "format_version": INDEX_FORMAT_VERSION,
-        "paragraphs": [
-            {"doc_id": p.doc_id, "para_id": p.para_id, "text": p.text,
-             "terms": p.terms}
-            for p in idx.paragraphs
-        ],
-    }
+    # The bytes of json.dumps(payload, ensure_ascii=False), written a
+    # record at a time with the C encoder, which json.dump never takes.
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    records = (encode({"doc_id": p.doc_id, "para_id": p.para_id,
+                       "text": p.text, "terms": p.terms})
+               for p in idx.paragraphs)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+            fh.write(f'{{"format_version": {INDEX_FORMAT_VERSION}, '
+                     f'"paragraphs": [{next(records, "")}')
+            fh.writelines(", " + r for r in records)
+            fh.write("]}")
         # mkstemp creates the file readable by its owner only; give it the
         # mode a plain open() would. The umask can only be read by setting it.
         umask = os.umask(0o022)
@@ -336,21 +356,19 @@ def save_index(idx: Index, path: Path | str) -> None:
         raise
 
 
-_RECORD_KEYS = ("doc_id", "para_id", "text", "terms")
-_RECORD_TYPES = (str, int, str, dict)
-
-
 def _paragraph_from_record(record) -> Paragraph:
-    if not isinstance(record, dict) or tuple(
-            map(type, map(record.get, _RECORD_KEYS))) != _RECORD_TYPES:
+    # Plain exact-type checks, run once a paragraph: a bool is not an int.
+    doc_id, para_id, text, terms = (
+        (record.get("doc_id"), record.get("para_id"), record.get("text"),
+         record.get("terms")) if type(record) is dict else (None,) * 4)
+    if not (type(doc_id) is str and type(para_id) is int
+            and type(text) is str and type(terms) is dict):
         raise ValueError(f"malformed paragraph in index snapshot: {record!r:.80}")
-    terms = record["terms"]
-    if not terms or not (set(map(type, terms.values())) == {int}
-                         and min(terms.values()) > 0):
-        raise ValueError("paragraph terms in index snapshot must map words "
-                         f"to positive counts: {record['doc_id']}#{record['para_id']}")
-    return Paragraph(doc_id=record["doc_id"], para_id=record["para_id"],
-                     text=record["text"], terms=terms)
+    for tf in terms.values() or (0,):  # no terms fails as a zero count
+        if type(tf) is not int or tf < 1:
+            raise ValueError("paragraph terms in index snapshot must map "
+                             f"words to positive counts: {doc_id}#{para_id}")
+    return Paragraph(doc_id=doc_id, para_id=para_id, text=text, terms=terms)
 
 
 def load_index(path: Path | str) -> Index:

@@ -19,7 +19,7 @@ from halqa.config import Config
 from halqa.evaluation import evaluate, load_questions
 from halqa.pipeline import Engine
 from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
-                                     build_representations, parse_question,
+                                     StemmedThesaurus, build_representations, parse_question,
                                      preprocess_special_verb)
 from halqa.retrieval import (Index, Paragraph, Query, build_index,
                              document_similarity, passage_similarity)
@@ -52,7 +52,8 @@ def test_criterion_2_representation_goldens(lexicons, stemmer, thesaurus):
     def reps(question):
         parsed = preprocess_special_verb(
             parse_question(question, lexicons, stemmer), stemmer)
-        rs = build_representations(parsed, thesaurus, stemmer)
+        rs = build_representations(
+            parsed, StemmedThesaurus.build(thesaurus, stemmer), stemmer)
         return {r.provenance: r for r in rs.reps}
 
     ok = True

@@ -7,7 +7,7 @@ from halqa.answer_selection import (Answer, advanced_search, contains_head,
                                     match_and_rank, prepare_sentences,
                                     resolve_polarity, select_answer)
 from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
-                                     build_representations, parse_question,
+                                     StemmedThesaurus, build_representations, parse_question,
                                      preprocess_special_verb)
 from halqa.retrieval import Paragraph
 
@@ -29,7 +29,8 @@ def rep_of(head, relation_roots, remaining=(), negated=False,
 def repset_for(question, lexicons, stemmer, thesaurus):
     parsed = preprocess_special_verb(
         parse_question(question, lexicons, stemmer), stemmer)
-    return build_representations(parsed, thesaurus, stemmer)
+    return build_representations(
+        parsed, StemmedThesaurus.build(thesaurus, stemmer), stemmer)
 
 
 class TestPolarity:

@@ -141,6 +141,13 @@ class TestAskCommand:
              "terms": {"فتح": 1, "محمود": 1, "باب": 1}},
             {"doc_id": "d1", "para_id": 0, "text": "محمد ولد جميل",
              "terms": {"محمد": 1, "ولد": 1, "جميل": 1}}]}),
+        # a bool is not a para_id or a count
+        json.dumps({"format_version": INDEX_FORMAT_VERSION, "paragraphs": [
+            {"doc_id": "d1", "para_id": True, "text": "محمد ولد جميل",
+             "terms": {"محمد": 1, "ولد": 1, "جميل": 1}}]}),
+        json.dumps({"format_version": INDEX_FORMAT_VERSION, "paragraphs": [
+            {"doc_id": "d1", "para_id": 0, "text": "محمد ولد جميل",
+             "terms": {"محمد": 1, "ولد": True, "جميل": 1}}]}),
     ])
     def test_bad_snapshot_exits_2(self, runner, content, tmp_path):
         snap = tmp_path / "snap.json"

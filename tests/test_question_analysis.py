@@ -1,10 +1,15 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halqa.errors import MalformedQuestion
+from halqa.evaluation import load_questions
+from halqa.morphology import Thesaurus
+from halqa.pipeline import Engine
 from halqa.question_analysis import (Provenance, SentenceKind,
+                                     StemmedThesaurus, _relation_candidates,
                                      build_representations, parse_question,
                                      preprocess_special_verb,
                                      retrieval_term_multiset)
@@ -17,8 +22,9 @@ from conftest import CORPUS_DIR, QUESTIONS
 def analyze(question, lexicons, stemmer, thesaurus, use_thesaurus=True):
     parsed = parse_question(question, lexicons, stemmer)
     parsed = preprocess_special_verb(parsed, stemmer)
-    return build_representations(parsed, thesaurus, stemmer,
-                                 use_thesaurus=use_thesaurus)
+    return build_representations(parsed,
+                                 StemmedThesaurus.build(thesaurus, stemmer),
+                                 stemmer, use_thesaurus=use_thesaurus)
 
 
 def by_provenance(repset):
@@ -223,6 +229,69 @@ class TestRetrievalTerms:
         rs = analyze("هل نجح يوسف ؟", lexicons, stemmer, thesaurus)
         assert retrieval_term_multiset(rs, stemmer) == [
             stemmer.stem("يوسف"), stemmer.stem("نجح")]
+
+
+def scanned_candidates(relation, stemmer, thesaurus_map):
+    """Relation lookup by a scan of the raw map that stems every key:
+    the surface form, then the root as a key, then every key sharing the
+    root; first hit wins."""
+    root = stemmer.stem(relation)
+    hits = (thesaurus_map.get(relation) or thesaurus_map.get(root)
+            or set().union(*(targets for key, targets in thesaurus_map.items()
+                             if stemmer.stem(key) == root)))
+    return frozenset(map(stemmer.stem, hits))
+
+
+class TestRelationLookup:
+    def test_matches_a_scan_of_the_raw_thesaurus(self, stemmer, thesaurus):
+        shared = {"كسرت": frozenset({"حطمت"}), "الكسر": frozenset({"هشم"}),
+                  "جميل": frozenset({"حسن"}), "جميلة": frozenset({"رائع"})}
+        fixture = StemmedThesaurus.build(thesaurus, stemmer)
+        merged = StemmedThesaurus.build(
+            Thesaurus(synonyms=shared, antonyms={}), stemmer)
+        # The root كسر is no key: both keys with that root merge.
+        assert _relation_candidates("يكسر", "كسر", merged.synonyms) == \
+            {"حطم", "هشم"}
+        # The root جميل is a key, which wins over جميلة, a key sharing it.
+        assert _relation_candidates("الجميل", "جميل", merged.synonyms) == \
+            {"حسن"}
+        cases = [(thesaurus.synonyms, fixture.synonyms),
+                 (thesaurus.antonyms, fixture.antonyms),
+                 (shared, merged.synonyms)]
+        words = {"يكسر", "الجميل", *FIXTURE_WORDS}
+        for raw, _ in cases:
+            words |= set(raw).union(*raw.values())
+        for raw, maps in cases:
+            for word in words:
+                assert _relation_candidates(word, stemmer.stem(word), maps) \
+                    == scanned_candidates(word, stemmer, raw), word
+
+    def test_analysis_stems_do_not_grow_with_the_thesaurus(
+            self, config, tmp_path, monkeypatch):
+        # 200 keys that no question's relation shares a root with.
+        padded = tmp_path / "thesaurus.tsv"
+        padded.write_text(
+            config.thesaurus.read_text(encoding="utf-8")
+            + "".join(f"w{i}\tsyn\tv{i}\n" for i in range(200)),
+            encoding="utf-8")
+        questions = [q for q, _ in load_questions(QUESTIONS)]
+        per_thesaurus = []
+        for path in (config.thesaurus, padded):
+            engine = Engine(dataclasses.replace(config, thesaurus=path))
+            calls = []
+            stem = engine.stemmer.stem
+            monkeypatch.setattr(engine.stemmer, "stem",
+                                lambda word: calls.append(word) or stem(word))
+            counts = []
+            for question in questions:
+                calls.clear()
+                engine.analyze(question)
+                counts.append(len(calls))
+                # at most once for each word after هل, and once more for
+                # the root of a ب-word that replaces a special verb
+                assert len(calls) <= len(question.split()) - 1, question
+            per_thesaurus.append(counts)
+        assert per_thesaurus[0] == per_thesaurus[1]
 
 
 FIXTURE_WORDS = sorted(

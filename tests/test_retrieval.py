@@ -8,15 +8,19 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from halqa import retrieval
 from halqa.errors import EmptyCorpus
+from halqa.evaluation import load_questions
 from halqa.morphology import LightStemmer
+from halqa.question_analysis import retrieval_term_multiset
 from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
                              build_index, build_index_from_dir,
-                             document_similarity, document_technique,
-                             load_index, paragraph_technique,
+                             document_scores, document_similarity,
+                             document_technique, load_index,
+                             paragraph_scores, paragraph_technique,
                              passage_similarity, save_index)
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, QUESTIONS
 
 # Synthetic vocabulary of latin terms: they pass the tokenizer untouched,
 # never collide with the stopword list, and are stemmer fixpoints, so
@@ -58,6 +62,11 @@ def oracle_stats(corpus):
     for counts in doc_counts.values():
         df_d.update(set(counts))
     return para_counts, doc_counts, df_p, df_d
+
+
+def df(postings):
+    """Root -> document frequency: the length of its postings."""
+    return {root: len(units) for root, units in postings.items()}
 
 
 def oracle_passage_score(counts, q, n_total, df):
@@ -115,9 +124,8 @@ class TestIndexing:
                           lexicons, stemmer)
         assert idx.n_documents == 2
         assert idx.n_paragraphs == 3
-        assert set(idx.df_p) == {"t1", "t2", "t3"}
-        assert idx.df_p == {"t1": 2, "t2": 1, "t3": 1}
-        assert idx.df_d == {"t1": 1, "t2": 1, "t3": 1}
+        assert df(idx.paragraph_postings) == {"t1": 2, "t2": 1, "t3": 1}
+        assert df(idx.document_postings) == {"t1": 1, "t2": 1, "t3": 1}
 
     def test_stopword_only_paragraph_skipped(self, lexicons, stemmer):
         idx = build_index([("a", "في من\n\nt1")], lexicons, stemmer)
@@ -188,7 +196,7 @@ class TestFormulaSpotChecks:
         ]
         idx = Index(paragraphs=(target, *filler))
         assert target.pl == 10
-        assert idx.df_p == {"x": 2, "y": 2, "z": 1}
+        assert df(idx.paragraph_postings) == {"x": 2, "y": 2, "z": 1}
         return target, idx
 
     def test_passage_formula(self):
@@ -213,7 +221,7 @@ class TestFormulaSpotChecks:
             for d, terms in [("a", {"x": 3, "y": 1}), ("b", {"x": 1, "y": 1}),
                              ("c", {"y": 1}), ("d", {"y": 1})]))
         doc = idx.documents[0]
-        assert (doc.max_tf, idx.df_d) == (3, {"x": 2, "y": 4})
+        assert (doc.max_tf, df(idx.document_postings)) == (3, {"x": 2, "y": 4})
         q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
         # (3/3)*log2(4/2) * (0.5+0.5)*log2(4/2)
         assert document_similarity(doc, q, idx) == pytest.approx(1.0, abs=1e-4)
@@ -224,6 +232,76 @@ class TestFormulaSpotChecks:
         assert passage_similarity(target, q, idx) == 0.0
 
 
+class TestWeightedPostings:
+    def test_fixture_scores_equal_the_one_unit_formulas(self, engine):
+        idx = engine.index
+        for question, _ in load_questions(QUESTIONS):
+            q = Query.from_terms(retrieval_term_multiset(
+                engine.analyze(question), engine.stemmer))
+            scores = paragraph_scores(idx, q)
+            assert scores
+            for i, p in enumerate(idx.paragraphs):
+                assert scores.get(i, 0.0) == passage_similarity(p, q, idx)
+            scores = document_scores(idx, q)
+            for i, d in enumerate(idx.documents):
+                assert scores.get(i, 0.0) == document_similarity(d, q, idx)
+            for c in paragraph_technique(idx, q, k=idx.n_paragraphs):
+                assert c.score == passage_similarity(c.paragraph, q, idx)
+            top = document_technique(idx, q, k_docs=3, k_paras=idx.n_paragraphs)
+            kept = {c.doc_id for c in top}
+            retained = Index(paragraphs=tuple(
+                p for p in idx.paragraphs if p.doc_id in kept))
+            assert len(top) == retained.n_paragraphs
+            for c in top:
+                assert c.score == passage_similarity(c.paragraph, q, retained)
+
+    def test_weights_are_derived_once_per_root(self, lexicons, stemmer,
+                                               monkeypatch):
+        idx = build_index([("a", "x y\n\nx"), ("b", "x z"), ("c", "y w")],
+                          lexicons, stemmer)
+        roots = []
+        weight = retrieval._w_p
+        monkeypatch.setattr(retrieval, "_w_p",
+                            lambda tf, length, n_total, n:
+                            roots.append(n) or weight(tf, length, n_total, n))
+        paragraph_technique(idx, Query.from_terms(["x"]), k=2)
+        # three postings of x, then its query weight
+        assert roots == [3, 3, 3, 3]
+        x = idx.paragraph_weights["x"]
+        assert set(idx.paragraph_weights) == {"x"}
+        roots.clear()
+        paragraph_technique(idx, Query.from_terms(["x", "y"]), k=2)
+        # x's query weight, then y's two postings and its query weight:
+        # x's postings keep the weights derived for the first query
+        assert roots == [3, 2, 2, 2]
+        assert idx.paragraph_weights["x"] is x
+        assert list(x) == [weight(1, 2, 4, 3), weight(1, 1, 4, 3),
+                           weight(1, 2, 4, 3)]
+
+    def test_restricted_index_derives_its_own_weights(self):
+        target = Paragraph(doc_id="a", para_id=0, text="",
+                           terms=Counter({"x": 3, "y": 7}))
+        paras = (target,
+                 Paragraph(doc_id="a", para_id=1, text="", terms={"x": 1}),
+                 Paragraph(doc_id="b", para_id=0, text="", terms={"y": 2}),
+                 Paragraph(doc_id="c", para_id=0, text="", terms={"x": 2}))
+        full = Index(paragraphs=paras)
+        restricted = Index(paragraphs=paras[:3])
+        for idx in (full, restricted):
+            paragraph_scores(idx, Query.from_terms(["x"]))
+            document_scores(idx, Query.from_terms(["x"]))
+        # N/n: 4/3 over all four paragraphs, 3/2 over the first three
+        assert full.paragraph_weights["x"][0] == \
+            pytest.approx((4 / 3) * math.log2(4 / 10))
+        assert restricted.paragraph_weights["x"][0] == \
+            pytest.approx((3 / 2) * math.log2(4 / 10))
+        # documents: N/n = 3/2 over all three, 2/1 over a and b
+        assert full.document_weights["x"][0] == pytest.approx(
+            (4 / 7) * math.log2(3 / 2))
+        assert restricted.document_weights["x"][0] == pytest.approx(
+            (4 / 7) * math.log2(2 / 1))
+
+
 class TestFormulaOracle:
     def test_passage_scores_match_oracle(self, lexicons, stemmer):
         rng = random.Random(20240820)
@@ -232,7 +310,7 @@ class TestFormulaOracle:
             idx = build_index(corpus, lexicons, stemmer)
             q = random_query(rng)
             para_counts, _, df_p, _ = oracle_stats(corpus)
-            assert set(df_p) == set(idx.df_p)
+            assert df_p == df(idx.paragraph_postings)
             for p in idx.paragraphs:
                 expected = oracle_passage_score(
                     para_counts[(p.doc_id, p.para_id)], q,
@@ -424,6 +502,23 @@ class TestPersistence:
             "paragraphs": [{"doc_id": "a", "para_id": 0, "text": "x y x",
                             "terms": {"x": 2, "y": 1}}]}
 
+    def test_snapshot_bytes_equal_json_dumps(self, lexicons, stemmer,
+                                             tmp_path):
+        quoted = Paragraph(doc_id="a", para_id=0,
+                           text='قال "نعم" \\ ثم\nمضى',
+                           terms=Counter({"قال": 1, "نعم": 1, "مضى": 1}))
+        for idx in (Index(paragraphs=(quoted,)),
+                    build_index_from_dir(CORPUS_DIR, lexicons, stemmer)):
+            path = tmp_path / "index.json"
+            save_index(idx, path)
+            payload = {"format_version": INDEX_FORMAT_VERSION,
+                       "paragraphs": [{"doc_id": p.doc_id, "para_id": p.para_id,
+                                       "text": p.text, "terms": p.terms}
+                                      for p in idx.paragraphs]}
+            assert path.read_bytes() == json.dumps(
+                payload, ensure_ascii=False).encode("utf-8")
+            assert load_index(path) == idx
+
     GOOD = {"doc_id": "a", "para_id": 0, "text": "x", "terms": {"x": 1}}
 
     @pytest.mark.parametrize("payload", [
@@ -449,6 +544,8 @@ class TestPersistence:
          "paragraphs": [{**GOOD, "terms": {"x": "1"}}]},
         {"format_version": INDEX_FORMAT_VERSION,
          "paragraphs": [{**GOOD, "terms": {"x": 0}}]},
+        {"format_version": INDEX_FORMAT_VERSION,
+         "paragraphs": [{**GOOD, "terms": {"x": True}}]},
         # paragraphs not in strictly ascending (doc_id, para_id) order
         {"format_version": INDEX_FORMAT_VERSION, "paragraphs": [GOOD, GOOD]},
         {"format_version": INDEX_FORMAT_VERSION,
