@@ -80,7 +80,9 @@ class Verdict:
 
 
 def prepare_sentences(paragraph: Paragraph, lexicons: Lexicons,
-                      stemmer: LightStemmer) -> list[Sentence]:
+                      stemmer: LightStemmer) -> tuple[Sentence, ...]:
+    """The paragraph's sentences, ready for matching. They depend only on
+    its ids and text, the lexicons and the stemmer, so they may be kept."""
     sentences = []
     for i, text in enumerate(split_sentences(paragraph.text)):
         tokens = tokenize(normalize(text))
@@ -94,14 +96,14 @@ def prepare_sentences(paragraph: Paragraph, lexicons: Lexicons,
             content_roots=tuple(stemmer.stem(t.surface) for t in content),
             raw_tokens=tuple(t.surface for t in tokens),
         ))
-    return sentences
+    return tuple(sentences)
 
 
 def contains_head(sentence: Sentence, rep: LogicalRep) -> bool:
     return rep.head in sentence.surface
 
 
-def filter_candidates(sentences: list[Sentence],
+def filter_candidates(sentences: tuple[Sentence, ...],
                       rep: LogicalRep) -> list[Sentence]:
     """Keep only sentences containing the exact head; order preserved."""
     return [s for s in sentences if contains_head(s, rep)]
@@ -172,7 +174,7 @@ def match_and_rank(sentence: Sentence,
                              answer_negated=False)
 
 
-def advanced_search(sentences: list[Sentence],
+def advanced_search(sentences: tuple[Sentence, ...],
                     rep: LogicalRep) -> list[CandidateSentence]:
     """One-sentence-lookback matching for sentences missing the head.
 
@@ -198,18 +200,16 @@ def advanced_search(sentences: list[Sentence],
     return found
 
 
-def select_answer(paragraphs: list[Paragraph], repset: RepSet,
-                  lexicons: Lexicons, stemmer: LightStemmer,
+def select_answer(prepared: list[tuple[Sentence, ...]], repset: RepSet,
+                  lexicons: Lexicons,
                   use_advanced_search: bool = True) -> Verdict:
     """Choose the best supporting sentence across the retrieved paragraphs
     and resolve the verdict.
 
-    paragraphs: in retrieval order. Minimum span wins; ties break by
-    retrieval order, then sentence index, then provenance
-    BASE > SYNONYM > ANTONYM.
+    prepared: each retrieved paragraph's ``prepare_sentences``, in
+    retrieval order. Minimum span wins; ties break by retrieval order,
+    then sentence index, then provenance BASE > SYNONYM > ANTONYM.
     """
-    prepared = [prepare_sentences(p, lexicons, stemmer) for p in paragraphs]
-
     candidates: list[tuple[tuple, CandidateSentence]] = []
 
     def consider(cand: CandidateSentence, para_order: int):

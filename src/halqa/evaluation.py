@@ -91,6 +91,8 @@ def sweep(config: Config, questions: list[tuple[str, str]],
     mirroring the paired documents/questions protocol; all_questions
     evaluates the full set at every size.
     """
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"sweep sizes must be at least 1, got {min(sizes)}")
     files = sorted(Path(config.corpus_dir).glob("*.txt"))
     engine = Engine(config)
     reports = []

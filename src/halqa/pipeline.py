@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .answer_selection import Verdict, select_answer
+from .answer_selection import (Sentence, Verdict, prepare_sentences,
+                               select_answer)
 from .config import Config
 from .errors import EmptyCorpus
 from .morphology import LightStemmer, load_thesaurus
@@ -14,9 +15,9 @@ from .question_analysis import (ParsedQuestion, RepSet, StemmedThesaurus,
                                 build_representations, parse_question,
                                 preprocess_special_verb,
                                 retrieval_term_multiset)
-from .retrieval import (Index, Query, ScoredCandidate, build_index_from_dir,
-                        document_technique, load_index, paragraph_technique,
-                        save_index)
+from .retrieval import (Index, Paragraph, Query, ScoredCandidate,
+                        build_index_from_dir, document_technique, load_index,
+                        paragraph_technique, save_index)
 from .text_core import Lexicons
 
 
@@ -40,6 +41,8 @@ class Engine:
         self.thesaurus = StemmedThesaurus.build(
             load_thesaurus(config.thesaurus), self.stemmer)
         self._index: Index | None = None
+        # (doc_id, para_id) -> prepared sentences, kept as long as the index
+        self._prepared: dict[tuple[str, int], tuple[Sentence, ...]] = {}
 
     @property
     def index(self) -> Index:
@@ -52,9 +55,10 @@ class Engine:
 
     def set_index(self, index: Index) -> None:
         self._index = index
+        self._prepared = {}
 
     def load_index(self, path: Path | str) -> None:
-        self._index = load_index(path)
+        self.set_index(load_index(path))
 
     def save_index(self, path: Path | str) -> None:
         save_index(self.index, path)
@@ -73,11 +77,20 @@ class Engine:
                                       k_paras=cfg.k_paras)
         return paragraph_technique(self.index, query, k=cfg.k_paras)
 
+    def _sentences(self, paragraph: Paragraph) -> tuple[Sentence, ...]:
+        """The paragraph's prepared sentences, prepared on first use."""
+        key = (paragraph.doc_id, paragraph.para_id)
+        found = self._prepared.get(key)
+        if found is None:
+            found = self._prepared[key] = prepare_sentences(
+                paragraph, self.lexicons, self.stemmer)
+        return found
+
     def answer(self, question: str) -> AnswerResult:
         reps = self.analyze(question)
         retrieved = self.retrieve(reps)
         verdict = select_answer(
-            [c.paragraph for c in retrieved], reps, self.lexicons,
-            self.stemmer, use_advanced_search=self.config.use_advanced_search)
+            [self._sentences(c.paragraph) for c in retrieved], reps,
+            self.lexicons, use_advanced_search=self.config.use_advanced_search)
         return AnswerResult(question=reps.source, reps=reps,
                             retrieved=tuple(retrieved), verdict=verdict)

@@ -26,6 +26,11 @@ def rep_of(head, relation_roots, remaining=(), negated=False,
                       provenance=provenance)
 
 
+def select(paragraphs, repset, lexicons, stemmer, **options):
+    prepared = [prepare_sentences(p, lexicons, stemmer) for p in paragraphs]
+    return select_answer(prepared, repset, lexicons, **options)
+
+
 def repset_for(question, lexicons, stemmer, thesaurus):
     parsed = preprocess_special_verb(
         parse_question(question, lexicons, stemmer), stemmer)
@@ -143,36 +148,36 @@ class TestAdvancedSearch:
 class TestSelectAnswer:
     def test_affirmative_yes(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([para("محمد ولد جميل")], rs,
-                                lexicons, stemmer)
+        verdict = select([para("محمد ولد جميل")], rs,
+                         lexicons, stemmer)
         assert verdict.answer is Answer.YES
         assert verdict.supporting.matched_rep.provenance is Provenance.BASE
 
     def test_antonym_no(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([para("محمد ولد قبيح")], rs,
-                                lexicons, stemmer)
+        verdict = select([para("محمد ولد قبيح")], rs,
+                         lexicons, stemmer)
         assert verdict.answer is Answer.NO
         assert verdict.supporting.matched_rep.provenance is Provenance.ANTONYM
 
     def test_negated_sentence_no(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([para("ليس محمد ولد جميل")], rs,
-                                lexicons, stemmer)
+        verdict = select([para("ليس محمد ولد جميل")], rs,
+                         lexicons, stemmer)
         assert verdict.answer is Answer.NO
         assert verdict.supporting.answer_negated
 
     def test_antonym_of_negated_sentence_yes(self, lexicons, stemmer,
                                              thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([para("ليس محمد ولد قبيح")], rs,
-                                lexicons, stemmer)
+        verdict = select([para("ليس محمد ولد قبيح")], rs,
+                         lexicons, stemmer)
         assert verdict.answer is Answer.YES
 
     def test_unknown_without_candidates(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer([para("الجو صاف اليوم")], rs,
-                                lexicons, stemmer)
+        verdict = select([para("الجو صاف اليوم")], rs,
+                         lexicons, stemmer)
         assert verdict.answer is Answer.UNKNOWN
         assert verdict.supporting is None
         assert verdict.to_record() == {"answer": "unknown"}
@@ -180,7 +185,7 @@ class TestSelectAnswer:
     def test_minimum_span_wins(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
         text = "محمد ولد طويل جميل. محمد جميل"
-        verdict = select_answer([para(text)], rs, lexicons, stemmer)
+        verdict = select([para(text)], rs, lexicons, stemmer)
         assert verdict.supporting.sentence.sentence_index == 1
         assert verdict.supporting.span_rank == 1
 
@@ -188,15 +193,15 @@ class TestSelectAnswer:
                                               thesaurus):
         rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
         paragraphs = [para("محمد جميل", "b"), para("محمد جميل", "a")]
-        verdict = select_answer(paragraphs, rs, lexicons, stemmer)
+        verdict = select(paragraphs, rs, lexicons, stemmer)
         assert verdict.supporting.sentence.doc_id == "b"
 
     def test_provenance_breaks_full_ties(self, lexicons, stemmer, thesaurus):
         # One sentence satisfying base and synonym with identical spans.
         rs = repset_for("هل سميرة التي كسرت النافذة ؟",
                         lexicons, stemmer, thesaurus)
-        verdict = select_answer([para("سميرة كسرت وحطمت النافذة")],
-                                rs, lexicons, stemmer)
+        verdict = select([para("سميرة كسرت وحطمت النافذة")],
+                         rs, lexicons, stemmer)
         assert verdict.answer is Answer.YES
         assert verdict.supporting.matched_rep.provenance is Provenance.BASE
         assert len(verdict.trace) == 2
@@ -205,7 +210,7 @@ class TestSelectAnswer:
                                               thesaurus):
         rs = repset_for("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
-        verdict = select_answer(
+        verdict = select(
             [para("قذف محمود الكرة باتجاه النافذة. فتحطمت")],
             rs, lexicons, stemmer)
         assert verdict.answer is Answer.YES
@@ -215,7 +220,7 @@ class TestSelectAnswer:
                                              thesaurus):
         rs = repset_for("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
-        verdict = select_answer(
+        verdict = select(
             [para("قذف محمود الكرة باتجاه النافذة. فتحطمت")],
             rs, lexicons, stemmer, use_advanced_search=False)
         assert verdict.answer is Answer.UNKNOWN
@@ -229,7 +234,7 @@ class TestSelectAnswer:
             para("قذف محمود الكرة باتجاه النافذة. فتحطمت"),
             para("حطم محمود النافذة", "e"),
         ]
-        verdict = select_answer(paragraphs, rs, lexicons, stemmer)
+        verdict = select(paragraphs, rs, lexicons, stemmer)
         assert not verdict.supporting.via_advanced_search
         assert verdict.supporting.sentence.doc_id == "e"
         assert all(not step["via_advanced_search"] for step in verdict.trace)
@@ -237,14 +242,14 @@ class TestSelectAnswer:
     def test_deterministic(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
         paragraphs = [para("محمد ولد جميل. ليس محمد ولد جميل")]
-        first = select_answer(paragraphs, rs, lexicons, stemmer)
-        second = select_answer(paragraphs, rs, lexicons, stemmer)
+        first = select(paragraphs, rs, lexicons, stemmer)
+        second = select(paragraphs, rs, lexicons, stemmer)
         assert first.to_record() == second.to_record()
         assert first.trace == second.trace
 
     def test_trace_is_span_sorted(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
-        verdict = select_answer(
+        verdict = select(
             [para("محمد ولد طويل جميل. محمد جميل")],
             rs, lexicons, stemmer)
         spans = [step["span_rank"] for step in verdict.trace]

@@ -211,6 +211,15 @@ class TestEvalCommand:
         assert "corpus size: 1 documents, 2 questions" in result.output
         assert "corpus size: 2 documents, 2 questions" in result.output
 
+    @pytest.mark.parametrize("sizes, bad", [("-1", "-1"), ("5,-3", "-3"),
+                                            ("0", "0")])
+    def test_sweep_size_below_1_exits_2(self, runner, sizes, bad):
+        result = runner.invoke(main, ["eval", "--corpus", str(CORPUS_DIR),
+                                      "--sweep", sizes, str(QUESTIONS)])
+        assert result.exit_code == 2
+        assert f"sweep sizes must be at least 1, got {bad}" in result.output
+        assert "corpus size" not in result.output
+
     def test_sweep_builds_one_engine(self, monkeypatch):
         inits = []
         original = evaluation.Engine.__init__

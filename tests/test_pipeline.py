@@ -1,0 +1,68 @@
+import sys
+from collections import Counter
+
+import pytest
+
+from halqa import pipeline
+from halqa.evaluation import load_questions
+from halqa.morphology import LightStemmer
+from halqa.pipeline import Engine
+from halqa.retrieval import build_index, save_index
+
+from conftest import QUESTIONS
+
+
+class TestSentenceMemo:
+    QUESTION = "هل محمد ولد جميل ؟"
+
+    @pytest.mark.parametrize("replace", ["set_index", "load_index"])
+    def test_new_index_drops_prepared_sentences(self, config, tmp_path,
+                                                replace):
+        # Same (doc_id, para_id) in both indexes, different text.
+        engine = Engine(config)
+        engine.set_index(build_index([("a", "محمد ولد جميل")],
+                                     engine.lexicons, engine.stemmer))
+        assert engine.answer(self.QUESTION).verdict.answer.value == "yes"
+        second = build_index([("a", "ليس محمد ولد جميل")],
+                             engine.lexicons, engine.stemmer)
+        if replace == "set_index":
+            engine.set_index(second)
+        else:
+            save_index(second, tmp_path / "second.json")
+            engine.load_index(tmp_path / "second.json")
+        verdict = engine.answer(self.QUESTION).verdict
+        assert verdict.answer.value == "no"
+        assert verdict.supporting.sentence.text == "ليس محمد ولد جميل"
+
+    def test_warm_round_prepares_nothing(self, config, monkeypatch):
+        stem_callers = Counter()
+        prepared = []
+
+        class CountingStemmer(LightStemmer):
+            def stem(self, word):
+                stem_callers[sys._getframe(1).f_globals["__name__"]] += 1
+                return super().stem(word)
+
+        original_prepare = pipeline.prepare_sentences
+
+        def counting_prepare(paragraph, lexicons, stemmer):
+            prepared.append((paragraph.doc_id, paragraph.para_id))
+            return original_prepare(paragraph, lexicons, stemmer)
+
+        monkeypatch.setattr(pipeline, "prepare_sentences", counting_prepare)
+        engine = Engine(config)
+        engine.stemmer = CountingStemmer(engine.stemmer.overrides,
+                                         engine.stemmer.tag_overrides)
+        questions = [q for q, _ in load_questions(QUESTIONS)]
+        rounds, calls = [], []
+        for _ in range(2):
+            stem_callers.clear()
+            prepared.clear()
+            rounds.append([engine.answer(q).verdict for q in questions])
+            calls.append((len(prepared), set(stem_callers)))
+        assert calls[0][0] > 0 and "halqa.answer_selection" in calls[0][1]
+        assert calls[1] == (0, {"halqa.question_analysis"})
+        first, second = rounds
+        assert [v.to_record() for v in second] == \
+            [v.to_record() for v in first]
+        assert [v.trace for v in second] == [v.trace for v in first]
