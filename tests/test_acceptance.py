@@ -22,7 +22,7 @@ from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
                                      StemmedThesaurus, build_representations, parse_question,
                                      preprocess_special_verb)
 from halqa.retrieval import (Index, Paragraph, Query, build_index,
-                             document_similarity, passage_similarity)
+                             document_scores, paragraph_scores)
 
 from conftest import CORPUS_DIR, QUESTIONS
 from test_retrieval import (oracle_document_score, oracle_passage_score,
@@ -109,14 +109,16 @@ def test_criterion_3_formula_oracles(lexicons, stemmer):
         idx = build_index(corpus, lexicons, stemmer)
         q = random_query(rng)
         para_counts, doc_counts, df_p, df_d = oracle_stats(corpus)
-        for p in idx.paragraphs:
+        scores = paragraph_scores(idx, q)
+        for i, p in enumerate(idx.paragraphs):
             expected = oracle_passage_score(
                 para_counts[(p.doc_id, p.para_id)], q, len(para_counts), df_p)
-            ok &= abs(passage_similarity(p, q, idx) - expected) <= 1e-9
-        for d in idx.documents:
+            ok &= abs(scores.get(i, 0.0) - expected) <= 1e-9
+        scores = document_scores(idx, q)
+        for i, d in enumerate(idx.documents):
             expected = oracle_document_score(
                 doc_counts[d.doc_id], q, len(doc_counts), df_d)
-            ok &= abs(document_similarity(d, q, idx) - expected) <= 1e-9
+            ok &= abs(scores.get(i, 0.0) - expected) <= 1e-9
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
     report(3, f"similarity formulas vs brute-force oracle, 100 corpora "
@@ -132,15 +134,13 @@ def test_criterion_4_spot_checks():
 
     idx = index(("a", 0, {"x": 3, "y": 7}), ("a", 1, {"x": 1}),
                 ("b", 0, {"y": 2}), ("b", 1, {"z": 1}))
-    target = idx.paragraphs[0]
-    q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
-    ok = abs(passage_similarity(target, q, idx) - (-5.2877)) <= 1e-4
+    q = Query(qtf=Counter({"x": 1}))
+    ok = abs(paragraph_scores(idx, q)[0] - (-5.2877)) <= 1e-4
 
     # Document: 4 documents, term in 2, tf=3 at the document maximum.
     idx = index(("a", 0, {"x": 3}), ("b", 0, {"x": 1}),
                 ("c", 0, {"y": 1}), ("d", 0, {"y": 1}))
-    doc = idx.documents[0]
-    ok &= abs(document_similarity(doc, q, idx) - 1.0) <= 1e-4
+    ok &= abs(document_scores(idx, q)[0] - 1.0) <= 1e-4
     report(4, "hand-computed passage (-5.2877) and document (1.0) "
               "spot checks", ok)
 

@@ -159,6 +159,21 @@ class TestAskCommand:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
 
+    def test_deeply_nested_snapshot_exits_2(self, runner, tmp_path):
+        # Too deep for the JSON parser's recursion limit.
+        snap = tmp_path / "snap.json"
+        snap.write_text("[" * 5000, encoding="utf-8")
+        result = runner.invoke(main, ["ask", "--index", str(snap),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2, result.output
+        assert "nested too deeply" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_k_above_the_paragraph_count(self, runner):
+        result = runner.invoke(main, ["ask", "--corpus", str(CORPUS_DIR),
+                                      "--k", str(2**63), "هل محمد جميل ؟"])
+        assert result.exit_code == 0, result.output
+
     def test_bare_article_exits_1(self, runner):
         result = runner.invoke(main, ["ask", "--corpus", str(CORPUS_DIR),
                                       "هل خالد ال بنت ؟"])

@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
-from halqa import pipeline
+from halqa import pipeline, retrieval
 from halqa.evaluation import load_questions
 from halqa.morphology import LightStemmer
 from halqa.pipeline import Engine
-from halqa.retrieval import build_index, save_index
+from halqa.retrieval import build_index, load_index, save_index
 
 from conftest import QUESTIONS
 
@@ -66,3 +66,20 @@ class TestSentenceMemo:
         assert [v.to_record() for v in second] == \
             [v.to_record() for v in first]
         assert [v.trace for v in second] == [v.trace for v in first]
+
+
+def test_paragraph_technique_builds_no_document(config, tmp_path,
+                                                monkeypatch):
+    # Documents are derived on first use: loading a snapshot and answering
+    # with the paragraph technique never needs them.
+    engine = Engine(config)
+    save_index(engine.index, tmp_path / "index.json")
+    built = []
+    document = retrieval.Document
+    monkeypatch.setattr(retrieval, "Document",
+                        lambda *args: built.append(args) or document(*args))
+    engine.load_index(tmp_path / "index.json")
+    for question, _ in load_questions(QUESTIONS):
+        engine.answer(question)
+    assert built == []
+    assert load_index(tmp_path / "index.json").n_documents == len(built) == 13

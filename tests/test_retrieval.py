@@ -14,11 +14,10 @@ from halqa.evaluation import load_questions
 from halqa.morphology import LightStemmer
 from halqa.question_analysis import retrieval_term_multiset
 from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
-                             build_index, build_index_from_dir,
-                             document_scores, document_similarity,
+                             _w_dt, _w_p, _w_qt, build_index,
+                             build_index_from_dir, document_scores,
                              document_technique, load_index,
-                             paragraph_scores, paragraph_technique,
-                             passage_similarity, save_index)
+                             paragraph_scores, paragraph_technique, save_index)
 
 from conftest import CORPUS_DIR, QUESTIONS
 
@@ -87,6 +86,30 @@ def oracle_document_score(counts, q, n_docs, df):
         score += ((counts[term] / max_tf) * idf
                   * (0.5 + 0.5 * q.qtf[term] / q.max_qf) * idf)
     return score
+
+
+def _one_unit(terms, norm, q: Query, query_norm, postings, n_total, weight,
+              query_weight) -> float:
+    """One unit's score: the sum over its query roots, in q.qtf order, of
+    W_unit * W_q. Retrieval adds the same products in the same order term
+    at a time, so its scores must equal this one to the bit."""
+    score = 0.0
+    for term, qtf in q.qtf.items():
+        tf, n = terms.get(term), len(postings.get(term, ()))
+        if tf and n:
+            score += (weight(tf, norm, n_total, n)
+                      * query_weight(qtf, query_norm, n_total, n))
+    return score
+
+
+def passage_similarity(p: Paragraph, q: Query, idx: Index) -> float:
+    return _one_unit(p.terms, p.pl, q, q.ql, idx.paragraph_postings,
+                     idx.n_paragraphs, _w_p, _w_p)
+
+
+def document_similarity(d, q: Query, idx: Index) -> float:
+    return _one_unit(d.terms, d.max_tf, q, q.max_qf, idx.document_postings,
+                     idx.n_documents, _w_dt, _w_qt)
 
 
 def full_scan_paragraphs(idx: Index, q: Query, k: int):
@@ -201,7 +224,7 @@ class TestFormulaSpotChecks:
 
     def test_passage_formula(self):
         target, idx = self.make_passage_index()
-        q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
+        q = Query(qtf=Counter({"x": 1}))
         # (4/2)*log2(4/10) * (4/2)*log2(2/1)
         assert passage_similarity(target, q, idx) == \
             pytest.approx(-5.2877124, abs=1e-4)
@@ -210,7 +233,7 @@ class TestFormulaSpotChecks:
         # An index over a subset of paragraphs supplies its own N and n.
         target, idx = self.make_passage_index()
         restricted = Index(paragraphs=(target, idx.paragraphs[2]))
-        q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
+        q = Query(qtf=Counter({"x": 1}))
         got = passage_similarity(target, q, restricted)
         # (2/1)*log2(4/10) * (2/1)*log2(2/1)
         assert got == pytest.approx(4 * math.log2(0.4), abs=1e-9)
@@ -222,7 +245,7 @@ class TestFormulaSpotChecks:
                              ("c", {"y": 1}), ("d", {"y": 1})]))
         doc = idx.documents[0]
         assert (doc.max_tf, df(idx.document_postings)) == (3, {"x": 2, "y": 4})
-        q = Query(qtf=Counter({"x": 1}), ql=1, max_qf=1)
+        q = Query(qtf=Counter({"x": 1}))
         # (3/3)*log2(4/2) * (0.5+0.5)*log2(4/2)
         assert document_similarity(doc, q, idx) == pytest.approx(1.0, abs=1e-4)
 
@@ -394,6 +417,18 @@ class TestTechniques:
         got = [((c.doc_id, c.para_id), c.score)
                for c in document_technique(idx, q, k_docs, k)]
         assert got == full_scan_documents(idx, q, k_docs, k)
+
+    def test_k_above_the_unit_count(self, lexicons, stemmer):
+        rng = random.Random(5)
+        idx = build_index(random_corpus(rng), lexicons, stemmer)
+        q = random_query(rng)
+        got = [((c.doc_id, c.para_id), c.score)
+               for c in paragraph_technique(idx, q, k=2**63)]
+        assert got == full_scan_paragraphs(idx, q, idx.n_paragraphs)
+        got = [((c.doc_id, c.para_id), c.score)
+               for c in document_technique(idx, q, 2**63, 2**63)]
+        assert got == full_scan_documents(idx, q, idx.n_documents,
+                                          idx.n_paragraphs)
 
     def test_document_technique_restricts_paragraphs(self, lexicons, stemmer):
         corpus = [("a", "x x x\n\nx y"), ("b", "x z"), ("c", "w w")]
