@@ -33,8 +33,8 @@ _PROVENANCE_ORDER = {Provenance.BASE: 0, Provenance.SYNONYM: 1,
 
 @dataclass(frozen=True)
 class Sentence:
-    """A sentence prepared for matching: raw tokens plus stemmed content
-    tokens (stopwords removed, positions re-indexed)."""
+    """A sentence prepared for matching: its tokens, its stemmed content
+    tokens (stopwords removed, positions re-indexed) and its polarity."""
     text: str
     doc_id: str
     para_id: int
@@ -42,7 +42,7 @@ class Sentence:
     surface: tuple[str, ...]          # all tokens, article-stripped
     content_surface: tuple[str, ...]  # stopwords removed, article-stripped
     content_roots: tuple[str, ...]    # stemmed, aligned with content_surface
-    raw_tokens: tuple[str, ...]
+    negated: bool                     # holds a negation particle
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,21 @@ class CandidateSentence:
     matched_rep: LogicalRep
     term_positions: dict[str, list[int]]
     span_rank: int
-    answer_negated: bool
     via_advanced_search: bool = False
+
+    @property
+    def answer_negated(self) -> bool:
+        return self.sentence.negated
+
+    def describe(self) -> dict:
+        """Where the sentence is, which representation it matched and how
+        tightly: one entry of a verdict's trace."""
+        return {"doc_id": self.sentence.doc_id,
+                "para_id": self.sentence.para_id,
+                "sentence_index": self.sentence.sentence_index,
+                "provenance": self.matched_rep.provenance.value,
+                "span_rank": self.span_rank,
+                "via_advanced_search": self.via_advanced_search}
 
 
 @dataclass(frozen=True)
@@ -63,19 +76,10 @@ class Verdict:
 
     def to_record(self) -> dict:
         rec = {"answer": self.answer.value}
-        if self.supporting is not None:
-            c = self.supporting
-            rec.update({
-                "sentence": c.sentence.text,
-                "doc_id": c.sentence.doc_id,
-                "para_id": c.sentence.para_id,
-                "sentence_index": c.sentence.sentence_index,
-                "provenance": c.matched_rep.provenance.value,
-                "rep_negated": c.matched_rep.negated,
-                "answer_negated": c.answer_negated,
-                "span_rank": c.span_rank,
-                "via_advanced_search": c.via_advanced_search,
-            })
+        if (c := self.supporting) is not None:
+            rec.update(c.describe(), sentence=c.sentence.text,
+                       rep_negated=c.matched_rep.negated,
+                       answer_negated=c.answer_negated)
         return rec
 
 
@@ -94,7 +98,8 @@ def prepare_sentences(paragraph: Paragraph, lexicons: Lexicons,
             content_surface=tuple(strip_article(t.surface, lexicons)
                                   for t in content),
             content_roots=tuple(stemmer.stem(t.surface) for t in content),
-            raw_tokens=tuple(t.surface for t in tokens),
+            negated=any(t.surface in lexicons.negation_particles
+                        for t in tokens),
         ))
     return tuple(sentences)
 
@@ -107,10 +112,6 @@ def filter_candidates(sentences: tuple[Sentence, ...],
                       rep: LogicalRep) -> list[Sentence]:
     """Keep only sentences containing the exact head; order preserved."""
     return [s for s in sentences if contains_head(s, rep)]
-
-
-def detect_answer_negation(sentence: Sentence, lexicons: Lexicons) -> bool:
-    return any(t in lexicons.negation_particles for t in sentence.raw_tokens)
 
 
 def resolve_polarity(rep_negated: bool, answer_negated: bool) -> Answer:
@@ -170,8 +171,7 @@ def match_and_rank(sentence: Sentence,
         all_positions.append(head_pos)
     span = max(all_positions) - min(all_positions)
     return CandidateSentence(sentence=sentence, matched_rep=rep,
-                             term_positions=positions, span_rank=span,
-                             answer_negated=False)
+                             term_positions=positions, span_rank=span)
 
 
 def advanced_search(sentences: tuple[Sentence, ...],
@@ -195,13 +195,11 @@ def advanced_search(sentences: tuple[Sentence, ...],
         flat = [p for ps in positions.values() for p in ps]
         found.append(CandidateSentence(
             sentence=current, matched_rep=rep, term_positions=positions,
-            span_rank=max(flat) - min(flat), answer_negated=False,
-            via_advanced_search=True))
+            span_rank=max(flat) - min(flat), via_advanced_search=True))
     return found
 
 
 def select_answer(prepared: list[tuple[Sentence, ...]], repset: RepSet,
-                  lexicons: Lexicons,
                   use_advanced_search: bool = True) -> Verdict:
     """Choose the best supporting sentence across the retrieved paragraphs
     and resolve the verdict.
@@ -230,24 +228,11 @@ def select_answer(prepared: list[tuple[Sentence, ...]], repset: RepSet,
                 for cand in advanced_search(sentences, rep):
                     consider(cand, para_order)
 
-    trace = tuple(
-        {"doc_id": c.sentence.doc_id, "para_id": c.sentence.para_id,
-         "sentence_index": c.sentence.sentence_index,
-         "provenance": c.matched_rep.provenance.value,
-         "span_rank": c.span_rank,
-         "via_advanced_search": c.via_advanced_search}
-        for _, c in sorted(candidates, key=lambda kc: kc[0])
-    )
-    if not candidates:
+    ranked = [c for _, c in sorted(candidates, key=lambda kc: kc[0])]
+    trace = tuple(c.describe() for c in ranked)
+    if not ranked:
         return Verdict(answer=Answer.UNKNOWN, supporting=None, trace=trace)
-
-    _, best = min(candidates, key=lambda kc: kc[0])
-    answer_negated = detect_answer_negation(best.sentence, lexicons)
-    best = CandidateSentence(
-        sentence=best.sentence, matched_rep=best.matched_rep,
-        term_positions=best.term_positions, span_rank=best.span_rank,
-        answer_negated=answer_negated,
-        via_advanced_search=best.via_advanced_search)
+    best = ranked[0]
     return Verdict(answer=resolve_polarity(best.matched_rep.negated,
-                                           answer_negated),
+                                           best.answer_negated),
                    supporting=best, trace=trace)

@@ -13,8 +13,7 @@ from pathlib import Path
 import click
 
 from .config import Config, load_config
-from .errors import (EmptyCorpus, HalqaError, LexiconParseError,
-                     MalformedQuestion)
+from .errors import HalqaError, MalformedQuestion
 from .evaluation import evaluate, load_questions, sweep
 from .pipeline import Engine
 

@@ -8,6 +8,16 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import LexiconParseError
+from .text_core import read_rows
+
+# Each data-file field and the bundled file it defaults to.
+_DATA_FILES = {
+    "stopwords": "stopwords.txt",
+    "negation": "negation.txt",
+    "article_exceptions": "alef_lam.txt",
+    "thesaurus": "thesaurus.tsv",
+    "stem_overrides": "stem_overrides.tsv",
+}
 
 
 def default_data_path(name: str) -> Path:
@@ -29,14 +39,7 @@ class Config:
     use_advanced_search: bool = True
 
     def __post_init__(self):
-        defaults = {
-            "stopwords": "stopwords.txt",
-            "negation": "negation.txt",
-            "article_exceptions": "alef_lam.txt",
-            "thesaurus": "thesaurus.tsv",
-            "stem_overrides": "stem_overrides.tsv",
-        }
-        for name, filename in defaults.items():
+        for name, filename in _DATA_FILES.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default_data_path(filename))
             else:
@@ -50,41 +53,33 @@ class Config:
 
     def check_files(self) -> None:
         """Verify every referenced lexicon file exists."""
-        for name in ("stopwords", "negation", "article_exceptions",
-                     "thesaurus", "stem_overrides"):
+        for name in _DATA_FILES:
             path = getattr(self, name)
             if not path.is_file():
                 raise FileNotFoundError(f"{name} file not found: {path}")
 
 
-_BOOL_FIELDS = {"use_thesaurus", "use_advanced_search"}
-_INT_FIELDS = {"k_paras", "k_docs"}
-_PATH_FIELDS = {"corpus_dir", "stopwords", "negation", "article_exceptions",
-                "thesaurus", "stem_overrides"}
-
-
 def load_config(path: Path | str) -> Config:
-    """Parse a key = value config file (UTF-8, # comments)."""
+    """Parse a key = value config file (UTF-8, # comments). A value is read
+    as the kind of its field's default; the path fields default to None."""
     path = Path(path)
-    known = {f.name for f in fields(Config)}
+    defaults = {f.name: f.default for f in fields(Config)}
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        row = line.split("#", 1)[0].strip()
-        if not row:
-            continue
+    for lineno, row in read_rows(path):
         if "=" not in row:
             raise LexiconParseError("expected key = value", path, lineno)
         key, _, value = row.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
+        if key not in defaults:
             raise LexiconParseError(f"unknown config key {key!r}", path, lineno)
-        if key in _BOOL_FIELDS:
+        kind = type(defaults[key])
+        if kind is bool:
             if value.lower() not in ("on", "off", "true", "false"):
                 raise LexiconParseError(f"expected on/off for {key}", path, lineno)
             values[key] = value.lower() in ("on", "true")
-        elif key in _INT_FIELDS:
+        elif kind is int:
             values[key] = int(value)
-        elif key in _PATH_FIELDS:
+        elif defaults[key] is None:
             # Relative paths resolve against the config file's directory.
             values[key] = (path.parent / value).resolve()
         else:

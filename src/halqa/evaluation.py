@@ -10,7 +10,8 @@ from pathlib import Path
 from .config import Config
 from .errors import LexiconParseError, MalformedQuestion
 from .pipeline import Engine
-from .retrieval import build_index
+from .retrieval import build_index, read_corpus
+from .text_core import read_rows
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,7 @@ def load_questions(path: Path | str) -> list[tuple[str, str]]:
     """Read a TSV of question<TAB>yes|no; # starts a comment."""
     path = Path(path)
     questions = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        row = line.split("#", 1)[0].strip()
-        if not row:
-            continue
+    for lineno, row in read_rows(path):
         cols = row.split("\t")
         if len(cols) != 2:
             raise LexiconParseError("expected question<TAB>yes|no", path, lineno)
@@ -93,13 +91,12 @@ def sweep(config: Config, questions: list[tuple[str, str]],
     """
     if min(sizes, default=1) < 1:
         raise ValueError(f"sweep sizes must be at least 1, got {min(sizes)}")
-    files = sorted(Path(config.corpus_dir).glob("*.txt"))
     engine = Engine(config)
+    corpus = read_corpus(config.corpus_dir)
     reports = []
     for i, size in enumerate(sizes):
-        subset = [(f.stem, f.read_text(encoding="utf-8"))
-                  for f in files[:size]]
-        engine.set_index(build_index(subset, engine.lexicons, engine.stemmer))
+        engine.set_index(build_index(corpus[:size], engine.lexicons,
+                                     engine.stemmer))
         if all_questions:
             bucket = questions
         else:

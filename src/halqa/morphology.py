@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import EmptyWord, LexiconParseError, ThesaurusConflict
-from .text_core import ARTICLE, normalize
+from .text_core import ARTICLE, normalize, read_rows
 
 
 class PosTag(enum.Enum):
@@ -53,10 +53,7 @@ class LightStemmer:
         roots: dict[str, str] = {}
         tags: dict[str, PosTag] = {}
         path = Path(path)
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            row = line.split("#", 1)[0].strip()
-            if not row:
-                continue
+        for lineno, row in read_rows(path):
             cols = row.split("\t")
             if len(cols) not in (2, 3):
                 raise LexiconParseError("expected 2 or 3 tab-separated columns",
@@ -138,10 +135,7 @@ def load_thesaurus(path: Path | str) -> Thesaurus:
     synonyms: dict[str, set[str]] = {}
     antonyms: dict[str, set[str]] = {}
     path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        row = line.split("#", 1)[0].strip()
-        if not row:
-            continue
+    for lineno, row in read_rows(path):
         cols = row.split("\t")
         if len(cols) != 3:
             raise LexiconParseError("expected word<TAB>syn|ant<TAB>targets",

@@ -9,7 +9,6 @@ from pathlib import Path
 from .answer_selection import (Sentence, Verdict, prepare_sentences,
                                select_answer)
 from .config import Config
-from .errors import EmptyCorpus
 from .morphology import LightStemmer, load_thesaurus
 from .question_analysis import (ParsedQuestion, RepSet, StemmedThesaurus,
                                 build_representations, parse_question,
@@ -23,10 +22,13 @@ from .text_core import Lexicons
 
 @dataclass(frozen=True)
 class AnswerResult:
-    question: ParsedQuestion
     reps: RepSet
     retrieved: tuple[ScoredCandidate, ...]
     verdict: Verdict
+
+    @property
+    def question(self) -> ParsedQuestion:
+        return self.reps.source
 
 
 class Engine:
@@ -41,21 +43,16 @@ class Engine:
         self.thesaurus = StemmedThesaurus.build(
             load_thesaurus(config.thesaurus), self.stemmer)
         self._index: Index | None = None
-        # (doc_id, para_id) -> prepared sentences, kept as long as the index
-        self._prepared: dict[tuple[str, int], tuple[Sentence, ...]] = {}
 
     @property
     def index(self) -> Index:
         if self._index is None:
-            if self.config.corpus_dir is None:
-                raise EmptyCorpus("no corpus directory configured")
             self._index = build_index_from_dir(self.config.corpus_dir,
                                                self.lexicons, self.stemmer)
         return self._index
 
     def set_index(self, index: Index) -> None:
         self._index = index
-        self._prepared = {}
 
     def load_index(self, path: Path | str) -> None:
         self.set_index(load_index(path))
@@ -78,11 +75,12 @@ class Engine:
         return paragraph_technique(self.index, query, k=cfg.k_paras)
 
     def _sentences(self, paragraph: Paragraph) -> tuple[Sentence, ...]:
-        """The paragraph's prepared sentences, prepared on first use."""
+        """The paragraph's prepared sentences, prepared on first use and
+        kept by the index."""
         key = (paragraph.doc_id, paragraph.para_id)
-        found = self._prepared.get(key)
+        found = self.index.sentences.get(key)
         if found is None:
-            found = self._prepared[key] = prepare_sentences(
+            found = self.index.sentences[key] = prepare_sentences(
                 paragraph, self.lexicons, self.stemmer)
         return found
 
@@ -91,6 +89,6 @@ class Engine:
         retrieved = self.retrieve(reps)
         verdict = select_answer(
             [self._sentences(c.paragraph) for c in retrieved], reps,
-            self.lexicons, use_advanced_search=self.config.use_advanced_search)
-        return AnswerResult(question=reps.source, reps=reps,
-                            retrieved=tuple(retrieved), verdict=verdict)
+            use_advanced_search=self.config.use_advanced_search)
+        return AnswerResult(reps=reps, retrieved=tuple(retrieved),
+                            verdict=verdict)

@@ -10,9 +10,8 @@ from dataclasses import dataclass, replace
 
 from .errors import MalformedQuestion
 from .morphology import LightStemmer, PosTag, Thesaurus
-from .text_core import (ARTICLE, INTERROGATIVE, Lexicons, Token,
-                        detect_negation, normalize, remove_stopwords,
-                        strip_article, tokenize)
+from .text_core import (INTERROGATIVE, Lexicons, Token, detect_negation,
+                        normalize, remove_stopwords, strip_article, tokenize)
 
 
 class SentenceKind(enum.Enum):
@@ -79,54 +78,31 @@ def parse_question(raw: str, lexicons: Lexicons,
     preceding = {t.position: p.surface
                  for p, t in zip(content, content[1:])}
 
-    first = content_no_neg[0]
-    first_tag = tagger.tag(first.surface, preceding.get(first.position))
-    if first_tag is PosTag.VERB:
-        return _parse_verbal(first, content_no_neg[1:], negated,
-                             lexicons, tagger, preceding)
-    return _parse_nominal(first, content_no_neg[1:], negated,
-                          lexicons, tagger, preceding)
+    def is_noun(t: Token) -> bool:
+        return tagger.tag(t.surface, preceding.get(t.position)) is PosTag.NOUN
 
-
-def _parse_verbal(verb: Token, rest: list[Token], negated: bool,
-                  lexicons: Lexicons, tagger: LightStemmer,
-                  preceding: dict[int, str]) -> ParsedQuestion:
-    subject = next(
-        (t for t in rest
-         if tagger.tag(t.surface, preceding.get(t.position)) is PosTag.NOUN),
-        None)
-    if subject is None:
-        raise MalformedQuestion("verbal question has no subject noun")
-    remaining = [strip_article(t.surface, lexicons)
-                 for t in rest if t is not subject]
+    first, *rest = content_no_neg
+    nouns = [t for t in rest if is_noun(t)]
+    if not is_noun(first):
+        # The subject is the first noun after the verb.
+        if not nouns:
+            raise MalformedQuestion("verbal question has no subject noun")
+        kind, head, relation = SentenceKind.VERBAL, nouns[0], first
+    else:
+        # The comment is the last noun without the definite article.
+        kind, head = SentenceKind.NOMINAL, first
+        relation = next((t for t in reversed(nouns)
+                         if strip_article(t.surface, lexicons) == t.surface),
+                        None)
+        if relation is None:
+            raise MalformedQuestion(
+                "nominal question has no article-free comment noun")
     return ParsedQuestion(
-        kind=SentenceKind.VERBAL,
-        head=strip_article(subject.surface, lexicons),
-        relation=verb.surface,
-        remaining=tuple(remaining),
-        negated=negated,
-    )
-
-
-def _parse_nominal(topic: Token, rest: list[Token], negated: bool,
-                   lexicons: Lexicons, tagger: LightStemmer,
-                   preceding: dict[int, str]) -> ParsedQuestion:
-    # The comment is the last noun without the definite article.
-    comment = None
-    for t in rest:
-        if t.surface.startswith(ARTICLE) and t.surface not in lexicons.article_exceptions:
-            continue
-        if tagger.tag(t.surface, preceding.get(t.position)) is PosTag.NOUN:
-            comment = t
-    if comment is None:
-        raise MalformedQuestion("nominal question has no article-free comment noun")
-    remaining = [strip_article(t.surface, lexicons)
-                 for t in rest if t is not comment]
-    return ParsedQuestion(
-        kind=SentenceKind.NOMINAL,
-        head=strip_article(topic.surface, lexicons),
-        relation=comment.surface,
-        remaining=tuple(remaining),
+        kind=kind,
+        head=strip_article(head.surface, lexicons),
+        relation=relation.surface,
+        remaining=tuple(strip_article(t.surface, lexicons)
+                        for t in rest if t not in (head, relation)),
         negated=negated,
     )
 

@@ -109,6 +109,12 @@ class Index:
     def document_weights(self) -> dict[str, array]:
         return {}
 
+    @cached_property
+    def sentences(self) -> dict[tuple[str, int], tuple]:
+        """(doc_id, para_id) -> the paragraph's prepared sentences, stored
+        by the engine the first time the paragraph is retrieved."""
+        return {}
+
     @property
     def n_paragraphs(self) -> int:
         return len(self.paragraphs)
@@ -186,16 +192,22 @@ def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
     return Index(paragraphs=tuple(paragraphs))
 
 
-def build_index_from_dir(corpus_dir: Path | str, lexicons: Lexicons,
-                         stemmer: LightStemmer) -> Index:
-    """Index every .txt file in a directory; the stem of the file name is
-    the document id."""
+def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
+    """The (doc_id, text) pair of every .txt file in a directory, in
+    file-name order; the stem of the file name is the document id."""
+    if corpus_dir is None:
+        raise EmptyCorpus("no corpus directory configured")
     corpus_dir = Path(corpus_dir)
     files = sorted(corpus_dir.glob("*.txt"))
     if not files:
         raise EmptyCorpus(f"no .txt files in {corpus_dir}")
-    corpus = [(f.stem, f.read_text(encoding="utf-8")) for f in files]
-    return build_index(corpus, lexicons, stemmer)
+    return [(f.stem, f.read_text(encoding="utf-8")) for f in files]
+
+
+def build_index_from_dir(corpus_dir: Path | str | None, lexicons: Lexicons,
+                         stemmer: LightStemmer) -> Index:
+    """Index every .txt file in a directory (see ``read_corpus``)."""
+    return build_index(read_corpus(corpus_dir), lexicons, stemmer)
 
 
 def _w_p(tf: int, length: int, n_total: int, n: int) -> float:

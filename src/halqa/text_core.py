@@ -8,9 +8,9 @@ frozen after load.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import LexiconParseError
 
@@ -89,14 +89,21 @@ class Lexicons:
         )
 
 
+def read_rows(path: Path | str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, row) for each row of a UTF-8 data file:
+    a line with its # comment and surrounding whitespace removed, blank
+    rows skipped."""
+    for lineno, line in enumerate(
+            Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if row := line.split("#", 1)[0].strip():
+            yield lineno, row
+
+
 def load_wordlist(path: Path | str) -> set[str]:
     """Read a one-word-per-line UTF-8 word list; # starts a comment."""
     words: set[str] = set()
     path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        entry = line.split("#", 1)[0].strip()
-        if not entry:
-            continue
+    for lineno, entry in read_rows(path):
         if len(entry.split()) != 1:
             raise LexiconParseError("expected one word per line", path, lineno)
         words.add(normalize(entry))

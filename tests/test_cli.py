@@ -111,6 +111,53 @@ class TestAskCommand:
         assert record["trace"]
         assert record["retrieved"]
 
+    @pytest.mark.parametrize("question, record", [
+        # found by the lookback search through a synonym
+        ("هل نادية التي كسرت الزجاج ؟", {
+            "answer": "yes", "answer_negated": False, "doc_id": "d11_nadia",
+            "para_id": 0, "provenance": "synonym", "rep_negated": False,
+            "retrieved": [
+                {"doc_id": "d11_nadia", "para_id": 0,
+                 "score": 511.0879249190717},
+                {"doc_id": "d03_samira", "para_id": 0,
+                 "score": 408.8703399352574},
+                {"doc_id": "d11_nadia", "para_id": 1,
+                 "score": 37.72546927930686},
+                {"doc_id": "d01_muhammad", "para_id": 0, "score": 0.0},
+                {"doc_id": "d01_muhammad", "para_id": 1, "score": 0.0}],
+            "sentence": "فتحطمت", "sentence_index": 1, "span_rank": 0,
+            "trace": [{"doc_id": "d11_nadia", "para_id": 0,
+                       "provenance": "synonym", "sentence_index": 1,
+                       "span_rank": 0, "via_advanced_search": True}],
+            "via_advanced_search": True}),
+        # a negated answer sentence
+        ("هل نجح محمد في الامتحان ؟", {
+            "answer": "no", "answer_negated": True,
+            "doc_id": "d01_muhammad", "para_id": 1, "provenance": "base",
+            "rep_negated": False,
+            "retrieved": [
+                {"doc_id": "d01_muhammad", "para_id": 1,
+                 "score": 661.6353872353939},
+                {"doc_id": "d01_muhammad", "para_id": 0,
+                 "score": 64.49211570450748},
+                {"doc_id": "d08_yousef", "para_id": 1,
+                 "score": 64.49211570450748},
+                {"doc_id": "d02_mahmoud", "para_id": 0, "score": 0.0},
+                {"doc_id": "d02_mahmoud", "para_id": 1, "score": 0.0}],
+            "sentence": "لم ينجح محمد في الامتحان", "sentence_index": 1,
+            "span_rank": 2,
+            "trace": [{"doc_id": "d01_muhammad", "para_id": 1,
+                       "provenance": "base", "sentence_index": 1,
+                       "span_rank": 2, "via_advanced_search": False}],
+            "via_advanced_search": False}),
+    ])
+    def test_json_verbose_record(self, runner, question, record):
+        result = runner.invoke(main, ["ask", "--corpus", str(CORPUS_DIR),
+                                      "--json", "--verbose", question])
+        assert result.exit_code == 0, result.output
+        assert result.output == json.dumps(record, ensure_ascii=False,
+                                           sort_keys=True) + "\n"
+
     def test_verbose_text(self, runner, small_corpus):
         result = runner.invoke(main, ["ask", "--corpus", str(small_corpus),
                                       "--verbose", "هل محمد ولد جميل ؟"])
@@ -234,6 +281,18 @@ class TestEvalCommand:
         assert result.exit_code == 2
         assert f"sweep sizes must be at least 1, got {bad}" in result.output
         assert "corpus size" not in result.output
+
+    @pytest.mark.parametrize("corpus", [None, "empty"])
+    def test_sweep_without_documents_exits_2(self, runner, tmp_path, corpus):
+        flags, message = [], "no corpus directory configured"
+        if corpus:
+            flags, message = (["--corpus", str(tmp_path)],
+                              f"no .txt files in {tmp_path}")
+        result = runner.invoke(main, ["eval", *flags, "--sweep", "5",
+                                      str(QUESTIONS)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_sweep_builds_one_engine(self, monkeypatch):
         inits = []

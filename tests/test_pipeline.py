@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from halqa import pipeline, retrieval
+from halqa.answer_selection import prepare_sentences
 from halqa.evaluation import load_questions
 from halqa.morphology import LightStemmer
 from halqa.pipeline import Engine
@@ -33,6 +34,18 @@ class TestSentenceMemo:
         verdict = engine.answer(self.QUESTION).verdict
         assert verdict.answer.value == "no"
         assert verdict.supporting.sentence.text == "ليس محمد ولد جميل"
+
+    def test_index_keeps_the_prepared_sentences(self, config):
+        engine = Engine(config)
+        assert engine.index.sentences == {}
+        retrieved = engine.answer(self.QUESTION).retrieved
+        assert engine.index.sentences == {
+            (c.doc_id, c.para_id): prepare_sentences(
+                c.paragraph, engine.lexicons, engine.stemmer)
+            for c in retrieved}
+        engine.set_index(build_index([("a", "محمد ولد جميل")],
+                                     engine.lexicons, engine.stemmer))
+        assert engine.index.sentences == {}
 
     def test_warm_round_prepares_nothing(self, config, monkeypatch):
         stem_callers = Counter()

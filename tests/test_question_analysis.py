@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 
 import pytest
@@ -60,16 +61,26 @@ class TestParsing:
         assert q.negated
         assert q.relation == "يفتح"
 
-    @pytest.mark.parametrize("question", [
-        "جميل الجو",          # no interrogative particle
-        "كيف حالك ؟",         # wrong particle
-        "هل في من ؟",         # stopwords only
-        "هل الباب الكبير ؟",  # nominal without an article-free comment
-        "هل فتح ؟",           # verbal without a subject noun
-        "هل خالد ال بنت ؟",   # a bare article as a word
-    ])
+    MALFORMED = {
+        # no interrogative particle
+        "جميل الجو": "question must start with هل",
+        # wrong particle
+        "كيف حالك ؟": "question must start with هل",
+        # stopwords only
+        "هل في من ؟": "question has no content words",
+        # nominal without an article-free comment
+        "هل الباب الكبير ؟":
+            "nominal question has no article-free comment noun",
+        # verbal without a subject noun
+        "هل فتح ؟": "verbal question has no subject noun",
+        # a bare article as a word
+        "هل خالد ال بنت ؟": "question has a bare article (ال) as a word",
+    }
+
+    @pytest.mark.parametrize("question", list(MALFORMED))
     def test_malformed(self, question, lexicons, stemmer):
-        with pytest.raises(MalformedQuestion):
+        message = re.escape(self.MALFORMED[question])
+        with pytest.raises(MalformedQuestion, match=f"^{message}$"):
             parse_question(question, lexicons, stemmer)
 
     def test_deterministic(self, lexicons, stemmer):

@@ -1,0 +1,31 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "halqa"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    # A name counts as used when the module reads it or, in __init__.py,
+    # lists it in __all__.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    unused = {name: line for name, line in imported.items()
+              if name not in used}
+    assert not unused, f"{path.name} imports names it never reads: {unused}"
