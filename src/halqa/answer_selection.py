@@ -1,12 +1,13 @@
 """Pick the best supporting sentence from the retrieved paragraphs and
 resolve the yes/no verdict.
 
-A sentence supports a representation when it contains the exact head
-(surface form, article-stripped comparison), at least one relation root
-and all remaining roots. Candidates are ranked by span (last matched
-position minus first); the tightest span wins. When direct matching finds
-nothing, the advanced search accepts a sentence whose head appears in the
-immediately preceding sentence instead.
+One match rule unifies a representation with a sentence: the sentence
+holds the exact head (surface form, article-stripped comparison), at
+least one relation root and all remaining roots. The preceding sentence
+is optional context: when direct matching finds nothing, the lookback
+(advanced search) lets it hold the head and supply remaining roots
+instead. Candidates are ranked by span (last matched position minus
+first); the tightest span wins.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class Sentence:
 class CandidateSentence:
     sentence: Sentence
     matched_rep: LogicalRep
-    term_positions: dict[str, list[int]]
     span_rank: int
     via_advanced_search: bool = False
 
@@ -104,99 +104,47 @@ def prepare_sentences(paragraph: Paragraph, lexicons: Lexicons,
     return tuple(sentences)
 
 
-def contains_head(sentence: Sentence, rep: LogicalRep) -> bool:
-    return rep.head in sentence.surface
-
-
-def filter_candidates(sentences: tuple[Sentence, ...],
-                      rep: LogicalRep) -> list[Sentence]:
-    """Keep only sentences containing the exact head; order preserved."""
-    return [s for s in sentences if contains_head(s, rep)]
-
-
 def resolve_polarity(rep_negated: bool, answer_negated: bool) -> Answer:
     """YES when question and answer polarity agree, NO otherwise."""
     return Answer.YES if rep_negated == answer_negated else Answer.NO
 
 
-def _match_terms(sentence: Sentence, rep: LogicalRep,
-                 context_roots: frozenset[str] = frozenset(),
-                 ) -> dict[str, list[int]] | None:
-    """Positions of the rep's roots in the sentence's content tokens, or
-    None if the match requirement fails.
+def match_and_rank(sentence: Sentence, rep: LogicalRep,
+                   previous: Sentence | None = None,
+                   ) -> CandidateSentence | None:
+    """Unify a representation with a sentence: the candidate, ranked by its
+    span (last matched position minus first), or None.
 
-    Requires at least one relation root; every remaining root must be
-    present as well, either here or among context_roots (the preceding
-    sentence, during advanced search). First occurrence of each term
-    counts.
+    The sentence must hold a relation root and every remaining root; a
+    root's first occurrence counts. Direct (no ``previous``): it holds the
+    exact head, whose first content position, if any, joins the span.
+    Lookback: the head is absent here but present in ``previous``, whose
+    roots may supply remaining roots; the span covers this sentence only.
+    Each early return is a stage that makes an answer ``unknown``: no head,
+    no relation root, a remaining root missing; in lookback, all of them
+    mean the lookback found nothing.
     """
-    positions: dict[str, list[int]] = {}
-    matched_relation = False
-    for root in sorted(rep.relation_roots):
-        if root in sentence.content_roots:
-            positions[root] = [sentence.content_roots.index(root)]
-            matched_relation = True
-    if not matched_relation:
-        return None
+    lookback = previous is not None
+    if lookback:
+        if rep.head in sentence.surface or rep.head not in previous.surface:
+            return None  # no head before this sentence, or one in it
+    elif rep.head not in sentence.surface:
+        return None  # no head
+    roots = sentence.content_roots
+    positions = [roots.index(r) for r in rep.relation_roots if r in roots]
+    if not positions:
+        return None  # head found but no relation root
+    context = previous.content_roots if lookback else ()
     for root in rep.remaining_roots:
-        if root in sentence.content_roots:
-            positions.setdefault(root, [sentence.content_roots.index(root)])
-        elif root not in context_roots:
-            return None
-    return positions
-
-
-def _head_position(sentence: Sentence, rep: LogicalRep) -> int | None:
-    """First content-token position whose article-stripped surface equals
-    the head, or None (e.g. when the head token is a stopword)."""
-    return next((i for i, t in enumerate(sentence.content_surface)
-                 if t == rep.head), None)
-
-
-def match_and_rank(sentence: Sentence,
-                   rep: LogicalRep) -> CandidateSentence | None:
-    """Match a representation against a sentence and compute its span rank.
-
-    The head position (when the head is in this sentence) joins the
-    matched-term positions; span_rank = max(position) - min(position).
-    """
-    positions = _match_terms(sentence, rep)
-    if positions is None:
-        return None
-    all_positions = [p for ps in positions.values() for p in ps]
-    head_pos = _head_position(sentence, rep)
-    if head_pos is not None:
-        positions = dict(positions)
-        positions.setdefault(rep.head, [head_pos])
-        all_positions.append(head_pos)
-    span = max(all_positions) - min(all_positions)
+        if root in roots:
+            positions.append(roots.index(root))
+        elif root not in context:
+            return None  # a remaining root missing
+    if rep.head in sentence.content_surface:  # never, in lookback
+        positions.append(sentence.content_surface.index(rep.head))
     return CandidateSentence(sentence=sentence, matched_rep=rep,
-                             term_positions=positions, span_rank=span)
-
-
-def advanced_search(sentences: tuple[Sentence, ...],
-                    rep: LogicalRep) -> list[CandidateSentence]:
-    """One-sentence-lookback matching for sentences missing the head.
-
-    Sentence i (i >= 1) is accepted when it contains a relation root, the
-    head is absent from it but occurs as an exact token in sentence i-1,
-    and every remaining root appears in sentence i or i-1. The span
-    covers sentence i's matched terms only.
-    """
-    found = []
-    for i in range(1, len(sentences)):
-        current, prev = sentences[i], sentences[i - 1]
-        if contains_head(current, rep) or not contains_head(prev, rep):
-            continue
-        positions = _match_terms(current, rep,
-                                 context_roots=frozenset(prev.content_roots))
-        if positions is None:
-            continue
-        flat = [p for ps in positions.values() for p in ps]
-        found.append(CandidateSentence(
-            sentence=current, matched_rep=rep, term_positions=positions,
-            span_rank=max(flat) - min(flat), via_advanced_search=True))
-    return found
+                             span_rank=max(positions) - min(positions),
+                             via_advanced_search=lookback)
 
 
 def select_answer(prepared: list[tuple[Sentence, ...]], repset: RepSet,
@@ -208,31 +156,29 @@ def select_answer(prepared: list[tuple[Sentence, ...]], repset: RepSet,
     retrieval order. Minimum span wins; ties break by retrieval order,
     then sentence index, then provenance BASE > SYNONYM > ANTONYM.
     """
-    candidates: list[tuple[tuple, CandidateSentence]] = []
-
-    def consider(cand: CandidateSentence, para_order: int):
-        key = (cand.span_rank, para_order, cand.sentence.sentence_index,
-               _PROVENANCE_ORDER[cand.matched_rep.provenance])
-        candidates.append((key, cand))
-
-    for para_order, sentences in enumerate(prepared):
-        for rep in repset.reps:
-            for sentence in filter_candidates(sentences, rep):
-                cand = match_and_rank(sentence, rep)
-                if cand is not None:
-                    consider(cand, para_order)
-
-    if not candidates and use_advanced_search:
+    def ranked(lookback: bool) -> list[CandidateSentence]:
+        # Keys are unique (one rep per provenance): gathering order is free.
+        found = []
         for para_order, sentences in enumerate(prepared):
-            for rep in repset.reps:
-                for cand in advanced_search(sentences, rep):
-                    consider(cand, para_order)
+            pairs = (zip(sentences[1:], sentences) if lookback
+                     else ((s, None) for s in sentences))
+            for sentence, previous in pairs:
+                for rep in repset.reps:
+                    cand = match_and_rank(sentence, rep, previous)
+                    if cand is not None:
+                        key = (cand.span_rank, para_order,
+                               sentence.sentence_index,
+                               _PROVENANCE_ORDER[rep.provenance])
+                        found.append((key, cand))
+        return [c for _, c in sorted(found, key=lambda kc: kc[0])]
 
-    ranked = [c for _, c in sorted(candidates, key=lambda kc: kc[0])]
-    trace = tuple(c.describe() for c in ranked)
-    if not ranked:
+    candidates = ranked(lookback=False)
+    if not candidates and use_advanced_search:
+        candidates = ranked(lookback=True)
+    trace = tuple(c.describe() for c in candidates)
+    if not candidates:
         return Verdict(answer=Answer.UNKNOWN, supporting=None, trace=trace)
-    best = ranked[0]
+    best = candidates[0]
     return Verdict(answer=resolve_polarity(best.matched_rep.negated,
                                            best.answer_negated),
                    supporting=best, trace=trace)

@@ -151,7 +151,11 @@ def cmd_eval(config_file, as_json, sweep_sizes, sweep_all_questions,
         config = _build_config(config_file, **overrides)
         questions = load_questions(questions_file)
         if sweep_sizes:
-            sizes = [int(s) for s in sweep_sizes.split(",")]
+            try:
+                sizes = [int(s) for s in sweep_sizes.split(",")]
+            except ValueError:
+                raise ValueError("sweep sizes must be comma-separated "
+                                 f"integers, got {sweep_sizes!r}") from None
             reports = sweep(config, questions, sizes,
                             all_questions=sweep_all_questions)
         else:

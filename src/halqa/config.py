@@ -76,12 +76,15 @@ def load_config(path: Path | str) -> Config:
         if kind is bool:
             if value.lower() not in ("on", "off", "true", "false"):
                 raise LexiconParseError(f"expected on/off for {key}", path, lineno)
-            values[key] = value.lower() in ("on", "true")
-        elif kind is int:
-            values[key] = int(value)
+            value = value.lower() in ("on", "true")
         elif defaults[key] is None:
             # Relative paths resolve against the config file's directory.
-            values[key] = (path.parent / value).resolve()
-        else:
-            values[key] = value
+            value = (path.parent / value).resolve()
+        try:
+            if kind is int:
+                value = int(value)
+            Config(**{key: value})  # Config alone holds the value rules
+        except ValueError as exc:
+            raise LexiconParseError(f"bad {key}: {exc}", path, lineno) from exc
+        values[key] = value
     return Config(**values)

@@ -11,8 +11,7 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
-from halqa.answer_selection import (Answer, advanced_search, filter_candidates,
-                                    match_and_rank, prepare_sentences,
+from halqa.answer_selection import (Answer, match_and_rank, prepare_sentences,
                                     resolve_polarity)
 from halqa.cli import main as cli_main
 from halqa.config import Config
@@ -152,9 +151,10 @@ def test_criterion_5_lookback_fixture(lexicons, stemmer):
     paragraph = Paragraph(doc_id="d", para_id=0, terms=Counter(),
                           text="قذف محمود الكرة باتجاه النافذة. فتحطمت")
     sentences = prepare_sentences(paragraph, lexicons, stemmer)
-    direct = [c for s in filter_candidates(sentences, rep)
+    direct = [c for s in sentences
               if (c := match_and_rank(s, rep)) is not None]
-    lookback = advanced_search(sentences, rep)
+    lookback = [c for s, prev in zip(sentences[1:], sentences)
+                if (c := match_and_rank(s, rep, prev)) is not None]
     ok = (not direct and len(lookback) == 1
           and lookback[0].sentence.sentence_index == 1
           and lookback[0].via_advanced_search)

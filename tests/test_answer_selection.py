@@ -2,8 +2,7 @@ from collections import Counter
 
 import pytest
 
-from halqa.answer_selection import (Answer, advanced_search, contains_head,
-                                    filter_candidates, match_and_rank,
+from halqa.answer_selection import (Answer, match_and_rank,
                                     prepare_sentences, resolve_polarity,
                                     select_answer)
 from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
@@ -62,12 +61,12 @@ class TestSentencePreparation:
         assert sents[1].negated
 
     def test_head_filter(self, lexicons, stemmer):
-        sents = prepare_sentences(para("محمد ولد جميل. الجو صاف"),
+        sents = prepare_sentences(para("محمد ولد جميل. الجو صاف. علي جميل"),
                                   lexicons, stemmer)
         rep = rep_of("محمد", {"جميل"})
-        assert contains_head(sents[0], rep)
-        assert not contains_head(sents[1], rep)
-        assert filter_candidates(sents, rep) == [sents[0]]
+        assert match_and_rank(sents[0], rep) is not None
+        assert match_and_rank(sents[1], rep) is None
+        assert match_and_rank(sents[2], rep) is None  # relation, no head
 
     def test_negation_detection(self, lexicons, stemmer):
         plain, negated = prepare_sentences(
@@ -102,8 +101,8 @@ class TestMatchAndRank:
         [s] = prepare_sentences(para("سميرة حطمت النافذة"), lexicons, stemmer)
         cand = match_and_rank(s, rep_of("سميرة", {"كسر", "حطم"}, ["نافذ"]))
         assert cand is not None
-        assert "حطم" in cand.term_positions
-        assert "كسر" not in cand.term_positions
+        # positions: head 0, حطم 1, نافذ 2
+        assert cand.span_rank == 2
 
 
 class TestAdvancedSearch:
@@ -116,12 +115,13 @@ class TestAdvancedSearch:
 
     def test_direct_matching_finds_nothing(self, lexicons, stemmer):
         sents = prepare_sentences(para(self.PARAGRAPH), lexicons, stemmer)
-        for s in filter_candidates(sents, self.rep()):
+        for s in sents:
             assert match_and_rank(s, self.rep()) is None
 
     def test_lookback_accepts_second_sentence(self, lexicons, stemmer):
         sents = prepare_sentences(para(self.PARAGRAPH), lexicons, stemmer)
-        found = advanced_search(sents, self.rep())
+        found = [c for s, prev in zip(sents[1:], sents)
+                 if (c := match_and_rank(s, self.rep(), prev)) is not None]
         assert len(found) == 1
         cand = found[0]
         assert cand.sentence.sentence_index == 1
@@ -131,18 +131,18 @@ class TestAdvancedSearch:
     def test_requires_head_in_previous_sentence(self, lexicons, stemmer):
         sents = prepare_sentences(para("قذف احمد الكرة باتجاه النافذة. فتحطمت"),
                                   lexicons, stemmer)
-        assert advanced_search(sents, self.rep()) == []
+        assert match_and_rank(sents[1], self.rep(), sents[0]) is None
 
     def test_requires_remaining_roots_somewhere(self, lexicons, stemmer):
         sents = prepare_sentences(para("قذف محمود الكرة. فتحطمت"),
                                   lexicons, stemmer)
-        assert advanced_search(sents, self.rep()) == []
+        assert match_and_rank(sents[1], self.rep(), sents[0]) is None
 
     def test_skips_sentence_containing_head(self, lexicons, stemmer):
         sents = prepare_sentences(
             para("قذف محمود الكرة باتجاه النافذة. فحطم محمود النافذة"),
             lexicons, stemmer)
-        assert advanced_search(sents, self.rep()) == []
+        assert match_and_rank(sents[1], self.rep(), sents[0]) is None
 
 
 class TestSelectAnswer:
@@ -238,6 +238,20 @@ class TestSelectAnswer:
         assert not verdict.supporting.via_advanced_search
         assert verdict.supporting.sentence.doc_id == "e"
         assert all(not step["via_advanced_search"] for step in verdict.trace)
+
+    def test_tighter_lookback_in_later_paragraph_wins(self, lexicons,
+                                                      stemmer, thesaurus):
+        rs = repset_for("هل محمود الذي حطم النافذة ؟",
+                        lexicons, stemmer, thesaurus)
+        paragraphs = [
+            para("قذف محمود الكرة باتجاه النافذة. فتحطمت الكرة النافذة", "a"),
+            para("قذف محمود الكرة باتجاه النافذة. فتحطمت", "b"),
+        ]
+        verdict = select(paragraphs, rs, lexicons, stemmer)
+        assert [(step["doc_id"], step["span_rank"], step["via_advanced_search"])
+                for step in verdict.trace] == [("b", 0, True), ("a", 2, True)]
+        assert verdict.supporting.sentence.doc_id == "b"
+        assert verdict.answer is Answer.YES
 
     def test_deterministic(self, lexicons, stemmer, thesaurus):
         rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)

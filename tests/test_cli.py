@@ -282,6 +282,15 @@ class TestEvalCommand:
         assert f"sweep sizes must be at least 1, got {bad}" in result.output
         assert "corpus size" not in result.output
 
+    @pytest.mark.parametrize("sizes", ["5,,3", "a"])
+    def test_sweep_size_not_an_integer_exits_2(self, runner, sizes):
+        result = runner.invoke(main, ["eval", "--corpus", str(CORPUS_DIR),
+                                      "--sweep", sizes, str(QUESTIONS)])
+        assert result.exit_code == 2
+        assert ("sweep sizes must be comma-separated integers, "
+                f"got '{sizes}'") in result.output
+        assert "corpus size" not in result.output
+
     @pytest.mark.parametrize("corpus", [None, "empty"])
     def test_sweep_without_documents_exits_2(self, runner, tmp_path, corpus):
         flags, message = [], "no corpus directory configured"
@@ -371,6 +380,21 @@ class TestConfigFile:
         cfg.write_text("mystery = 1\n", encoding="utf-8")
         with pytest.raises(LexiconParseError):
             load_config(cfg)
+
+    @pytest.mark.parametrize("row, message", [
+        ("k_paras = x", "bad k_paras: invalid literal for int()"),
+        ("technique = docs", "bad technique: unknown technique: docs"),
+        ("k_docs = 0", "bad k_docs: k_paras and k_docs must be >= 1"),
+    ])
+    def test_bad_value_names_file_and_line(self, runner, tmp_path, row,
+                                           message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\n{row}\n", encoding="utf-8")
+        result = runner.invoke(main, ["ask", "--config", str(cfg),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2
+        assert f"error: {cfg}:2: {message}" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "halqa"
+each_module = pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                                      ids=lambda path: path.name)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda path: path.name)
+@each_module
 def test_no_unused_imports(path):
     # A name counts as used when the module reads it or, in __init__.py,
     # lists it in __all__.
@@ -29,3 +30,28 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported.items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+@each_module
+def test_no_unused_private_names(path):
+    # A module-level _name (function, class or constant) is private to its
+    # module, so a helper left behind by a refactor is read nowhere in it.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                              ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in targets
+                       if name.startswith("_") and not name.startswith("__"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {name: line for name, line in defined.items()
+              if name not in read}
+    assert not unused, f"{path.name} defines private names it never reads: {unused}"
