@@ -31,6 +31,7 @@ def _onoff(_ctx, _param, value):
 
 
 _onoff_choice = click.Choice(["on", "off"])
+_positive = click.IntRange(min=1)
 
 
 def common_options(fn):
@@ -40,9 +41,9 @@ def common_options(fn):
                       help="Directory of UTF-8 .txt documents.")(fn)
     fn = click.option("--technique", type=click.Choice(["paragraph", "document"]),
                       default=None)(fn)
-    fn = click.option("--k", "k_paras", type=int, default=None,
+    fn = click.option("--k", "k_paras", type=_positive, default=None,
                       help="Paragraphs to retrieve (default 5).")(fn)
-    fn = click.option("--k-docs", "k_docs", type=int, default=None,
+    fn = click.option("--k-docs", "k_docs", type=_positive, default=None,
                       help="Documents to retain in the document technique.")(fn)
     fn = click.option("--thesaurus", "use_thesaurus", type=_onoff_choice,
                       callback=_onoff, default=None,

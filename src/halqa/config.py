@@ -60,8 +60,9 @@ class Config:
 
 
 def load_config(path: Path | str) -> Config:
-    """Parse a key = value config file (UTF-8, # comments). A value is read
-    as the kind of its field's default; the path fields default to None."""
+    """Parse a key = value config file (UTF-8, # comments), each key at
+    most once. A value is read as the kind of its field's default; the path
+    fields default to None."""
     path = Path(path)
     defaults = {f.name: f.default for f in fields(Config)}
     values = {}
@@ -72,6 +73,8 @@ def load_config(path: Path | str) -> Config:
         key, value = key.strip(), value.strip()
         if key not in defaults:
             raise LexiconParseError(f"unknown config key {key!r}", path, lineno)
+        if key in values:
+            raise LexiconParseError(f"duplicate config key {key!r}", path, lineno)
         kind = type(defaults[key])
         if kind is bool:
             if value.lower() not in ("on", "off", "true", "false"):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .errors import EmptyCorpus
 from .morphology import LightStemmer
-from .text_core import Lexicons, normalize, remove_stopwords, split_paragraphs, tokenize
+from .text_core import Lexicons, normalize, split_paragraphs, words
 
 INDEX_FORMAT_VERSION = 2
 
@@ -170,8 +170,8 @@ def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
                 stemmer: LightStemmer) -> Index:
     """Index a corpus of (doc_id, raw text) pairs.
 
-    A paragraph's terms are its root multiset: normalize, tokenize, drop
-    stopwords, stem. Each distinct surface word is stemmed once per build.
+    A paragraph's terms are its root multiset: normalize, split into words,
+    drop stopwords, stem. Each distinct word is stemmed once per build.
     Paragraphs with no indexable terms are skipped; a document whose
     paragraphs are all empty is excluded entirely.
     """
@@ -179,11 +179,11 @@ def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
     paragraphs = []
     for doc_id, text in sorted(corpus):
         for para_id, para_text in enumerate(split_paragraphs(text)):
-            words = [t.surface for t in remove_stopwords(
-                tokenize(normalize(para_text)), lexicons)]
-            for word in set(words).difference(roots):
+            content = [w for w in words(normalize(para_text))
+                       if w not in lexicons.stopwords]
+            for word in set(content).difference(roots):
                 roots[word] = stemmer.stem(word)
-            terms = Counter(roots[w] for w in words)
+            terms = Counter(map(roots.__getitem__, content))
             if terms:
                 paragraphs.append(Paragraph(doc_id=doc_id, para_id=para_id,
                                             text=para_text, terms=terms))
@@ -194,14 +194,21 @@ def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
 
 def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
     """The (doc_id, text) pair of every .txt file in a directory, in
-    file-name order; the stem of the file name is the document id."""
+    file-name order; the stem of the file name is the document id.
+
+    A file is UTF-8 and may begin with a byte order mark. CRLF and lone CR
+    line ends read as LF, as in text mode.
+    """
     if corpus_dir is None:
         raise EmptyCorpus("no corpus directory configured")
     corpus_dir = Path(corpus_dir)
-    files = sorted(corpus_dir.glob("*.txt"))
+    # By name, not by Path: Path comparison runs in Python, once per
+    # comparison, and the names of one directory give the same order.
+    files = sorted(corpus_dir.glob("*.txt"), key=attrgetter("name"))
     if not files:
         raise EmptyCorpus(f"no .txt files in {corpus_dir}")
-    return [(f.stem, f.read_text(encoding="utf-8")) for f in files]
+    return [(f.stem, f.read_bytes().decode("utf-8-sig")
+             .replace("\r\n", "\n").replace("\r", "\n")) for f in files]
 
 
 def build_index_from_dir(corpus_dir: Path | str | None, lexicons: Lexicons,

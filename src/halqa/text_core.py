@@ -48,13 +48,16 @@ class Token:
         return f"{self.surface}@{self.position}"
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split normalized text into word tokens with 0-based positions.
+def words(text: str) -> list[str]:
+    """The words of normalized text, in order: maximal runs of
+    non-whitespace, non-punctuation characters. Punctuation (including ؟
+    and ?) and diacritics are dropped."""
+    return _TOKEN.findall(text)
 
-    Tokens are maximal runs of non-whitespace, non-punctuation characters;
-    punctuation (including ؟ and ?) and diacritics are dropped.
-    """
-    return [Token(s, i) for i, s in enumerate(_TOKEN.findall(text))]
+
+def tokenize(text: str) -> list[Token]:
+    """The words of normalized text as tokens with 0-based positions."""
+    return [Token(s, i) for i, s in enumerate(words(text))]
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,11 @@ class Lexicons:
 
 
 def read_rows(path: Path | str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, row) for each row of a UTF-8 data file:
-    a line with its # comment and surrounding whitespace removed, blank
-    rows skipped."""
+    """Yield (1-based line number, row) for each row of a UTF-8 data file,
+    which may begin with a byte order mark: a line with its # comment and
+    surrounding whitespace removed, blank rows skipped."""
     for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1):
+            Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         if row := line.split("#", 1)[0].strip():
             yield lineno, row
 

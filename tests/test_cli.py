@@ -221,6 +221,40 @@ class TestAskCommand:
                                       "--k", str(2**63), "هل محمد جميل ؟"])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("flag", ["--k", "--k-docs"])
+    def test_k_below_1_names_the_flag(self, runner, small_corpus, flag):
+        result = runner.invoke(main, ["ask", "--corpus", str(small_corpus),
+                                      flag, "0", "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}': 0 is not in the range" \
+            in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_bom_corpus_answers_like_its_copy_without(self, runner, tmp_path):
+        outputs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            corpus = tmp_path / name
+            corpus.mkdir()
+            (corpus / "d.txt").write_bytes(bom + "محمد ولد جميل.\n".encode())
+            result = runner.invoke(main, ["ask", "--corpus", str(corpus),
+                                          "--json", "هل محمد جميل ؟"])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+        assert outputs[1] == outputs[0]
+        assert json.loads(outputs[0])["answer"] == "yes"
+
+    @pytest.mark.parametrize("bad", ["directory", "invalid-utf8"])
+    def test_unreadable_corpus_entry_exits_2(self, runner, small_corpus, bad):
+        if bad == "directory":
+            (small_corpus / "x.txt").mkdir()
+        else:
+            (small_corpus / "x.txt").write_bytes(b"\xff\xfe\x00\xc3")
+        result = runner.invoke(main, ["ask", "--corpus", str(small_corpus),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2
+        assert "error:" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_bare_article_exits_1(self, runner):
         result = runner.invoke(main, ["ask", "--corpus", str(CORPUS_DIR),
                                       "هل خالد ال بنت ؟"])
@@ -395,6 +429,26 @@ class TestConfigFile:
         assert result.exit_code == 2
         assert f"error: {cfg}:2: {message}" in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_duplicate_key_names_file_and_line(self, runner, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("k_paras = 3\nk_paras = 4\n", encoding="utf-8")
+        result = runner.invoke(main, ["ask", "--config", str(cfg),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2
+        assert f"error: {cfg}:2: duplicate config key 'k_paras'" \
+            in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_bom_config_loads(self, runner, small_corpus, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + f"k_paras = 3\n"
+                        f"corpus_dir = {small_corpus}\n".encode())
+        assert load_config(cfg).k_paras == 3
+        result = runner.invoke(main, ["ask", "--config", str(cfg),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == "yes"
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

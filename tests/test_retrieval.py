@@ -17,7 +17,10 @@ from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
                              _w_dt, _w_p, _w_qt, build_index,
                              build_index_from_dir, document_scores,
                              document_technique, load_index,
-                             paragraph_scores, paragraph_technique, save_index)
+                             paragraph_scores, paragraph_technique,
+                             read_corpus, save_index)
+from halqa.text_core import (normalize, remove_stopwords, split_paragraphs,
+                             tokenize)
 
 from conftest import CORPUS_DIR, QUESTIONS
 
@@ -140,6 +143,37 @@ _corpora = st.lists(
 ).map(lambda docs: [(f"d{i:02d}", text) for i, text in enumerate(docs)])
 _queries = st.lists(st.sampled_from(VOCAB[:7]), min_size=1, max_size=6)
 
+# Arabic paragraphs that mix stopwords, punctuation, diacritics, tatweel
+# and Alef variants, inside words and between them.
+_PIECES = ["في", "من", "الى", "على", "هو", "لا", "ليس", "محمد", "الباب",
+           "أحمد", "إلى", "آمن", "كـتـاب", "كَتَبَ", "مُحَمَّد", "ـ", "ً",
+           "الطالب", "ولد", "جميل", "t1"]
+_arabic_paragraphs = st.lists(
+    st.tuples(st.one_of(st.sampled_from(_PIECES),
+                        st.text(alphabet="ابتمحدلويةأإآـًٌٍَُِّْ ،.؟!؛:-",
+                                max_size=8)),
+              st.sampled_from([" ", "", "، ", ".", " ؟ ", "\n", "\n\n"])),
+    max_size=30,
+).map(lambda pairs: "".join(piece + sep for piece, sep in pairs))
+
+
+def reference_terms(corpus, lexicons, stemmer):
+    """(doc_id, para_id) -> a paragraph's terms, in first-seen order,
+    through tokenize, remove_stopwords and stem, one word at a time."""
+    terms = {}
+    for doc_id, text in sorted(corpus):
+        for para_id, para in enumerate(split_paragraphs(text)):
+            content = remove_stopwords(tokenize(normalize(para)), lexicons)
+            if content:
+                terms[(doc_id, para_id)] = list(
+                    Counter(stemmer.stem(t.surface) for t in content).items())
+    return terms
+
+
+def index_terms(idx):
+    return {(p.doc_id, p.para_id): list(p.terms.items())
+            for p in idx.paragraphs}
+
 
 class TestIndexing:
     def test_counts(self, lexicons, stemmer):
@@ -204,6 +238,55 @@ class TestIndexing:
     def test_build_from_empty_dir(self, tmp_path, lexicons, stemmer):
         with pytest.raises(EmptyCorpus):
             build_index_from_dir(tmp_path, lexicons, stemmer)
+
+    def test_fixture_terms_equal_the_token_reference(self, lexicons, stemmer):
+        corpus = read_corpus(CORPUS_DIR)
+        assert index_terms(build_index(corpus, lexicons, stemmer)) == \
+            reference_terms(corpus, lexicons, stemmer)
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=st.lists(_arabic_paragraphs, min_size=1, max_size=3))
+    def test_terms_equal_the_token_reference(self, lexicons, stemmer, docs):
+        corpus = [(f"d{i}", text) for i, text in enumerate(docs)]
+        expected = reference_terms(corpus, lexicons, stemmer)
+        if not expected:
+            with pytest.raises(EmptyCorpus):
+                build_index(corpus, lexicons, stemmer)
+            return
+        assert index_terms(build_index(corpus, lexicons, stemmer)) == expected
+
+
+class TestReadCorpus:
+    def test_line_ends_read_as_in_text_mode(self, tmp_path, lexicons,
+                                            stemmer):
+        (tmp_path / "crlf.txt").write_bytes(
+            "محمد ولد جميل\r\n\r\nفتح محمود الباب\r\n".encode())
+        (tmp_path / "cr.txt").write_bytes(
+            "ليس عمر ولد طويل\r\rكتب الطالب\rالدرس\r".encode())
+        in_text_mode = [(f.stem, f.read_text(encoding="utf-8"))
+                        for f in sorted(tmp_path.glob("*.txt"))]
+        assert read_corpus(tmp_path) == in_text_mode
+        texts = [p.text for p in
+                 build_index_from_dir(tmp_path, lexicons, stemmer).paragraphs]
+        assert texts == ["ليس عمر ولد طويل", "كتب الطالب\nالدرس",
+                         "محمد ولد جميل", "فتح محمود الباب"]
+
+    def test_file_name_order(self, tmp_path):
+        # "-" sorts before ".", so a-b.txt comes before a.txt; eval
+        # --sweep takes its corpus prefixes in this order.
+        for name in ("a.txt", "a-b.txt", "b.txt"):
+            (tmp_path / name).write_text(name, encoding="utf-8")
+        assert [doc_id for doc_id, _ in read_corpus(tmp_path)] == \
+            ["a-b", "a", "b"]
+
+    @pytest.mark.parametrize("plain_file", [False, True],
+                             ids=["missing", "plain-file"])
+    def test_no_directory_is_an_empty_corpus(self, tmp_path, plain_file):
+        path = tmp_path / "corpus.txt"
+        if plain_file:
+            path.write_text("محمد ولد جميل", encoding="utf-8")
+        with pytest.raises(EmptyCorpus, match="no .txt files in"):
+            read_corpus(path)
 
 
 class TestFormulaSpotChecks:
