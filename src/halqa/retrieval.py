@@ -22,15 +22,19 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, islice
-from operator import attrgetter
+from itertools import chain, groupby, islice
+from operator import attrgetter, neg
 from pathlib import Path
 
 from .errors import EmptyCorpus
 from .morphology import LightStemmer
 from .text_core import Lexicons, normalize, split_paragraphs, words
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
+
+# snapshot list -> (Paragraph field, its values' exact type), in field order
+_COLUMNS = {"doc_ids": ("doc_id", str), "para_ids": ("para_id", int),
+            "texts": ("text", str), "terms": ("terms", dict)}
 
 # root -> ascending positions of the paragraphs or documents holding it
 Postings = dict[str, tuple[int, ...]]
@@ -196,8 +200,8 @@ def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
     """The (doc_id, text) pair of every .txt file in a directory, in
     file-name order; the stem of the file name is the document id.
 
-    A file is UTF-8 and may begin with a byte order mark. CRLF and lone CR
-    line ends read as LF, as in text mode.
+    A file is UTF-8 and may begin with a byte order mark; ValueError names
+    one that is not. CRLF and lone CR line ends read as LF, as in text mode.
     """
     if corpus_dir is None:
         raise EmptyCorpus("no corpus directory configured")
@@ -207,8 +211,14 @@ def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
     files = sorted(corpus_dir.glob("*.txt"), key=attrgetter("name"))
     if not files:
         raise EmptyCorpus(f"no .txt files in {corpus_dir}")
-    return [(f.stem, f.read_bytes().decode("utf-8-sig")
-             .replace("\r\n", "\n").replace("\r", "\n")) for f in files]
+    corpus = []
+    for f in files:
+        try:
+            corpus.append((f.stem, f.read_bytes().decode("utf-8-sig")
+                           .replace("\r\n", "\n").replace("\r", "\n")))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{f} is not UTF-8: {exc}") from None
+    return corpus
 
 
 def build_index_from_dir(corpus_dir: Path | str | None, lexicons: Lexicons,
@@ -258,16 +268,16 @@ def _top(scores: dict[int, float], n: int, k: int) -> list[tuple[int, float]]:
     by score descending, then by position.
 
     ``scores`` holds the units in the postings of the query's roots; the
-    rest score 0. Positive scores come first, then zero scores in position
-    order, walking the units only until k is filled, then negative scores.
+    rest score 0. Of the k best scored units (one pass), those above 0 come
+    first, then zeros in position order until k is filled, then those below 0.
     """
     k = min(k, n)
-    top = heapq.nsmallest(k, ((-s, i) for i, s in scores.items() if s > 0))
+    best = heapq.nsmallest(k, zip(map(neg, scores.values()), scores))
+    top = [i for s, i in best if s < 0]
     zeros = (i for i in range(n) if scores.get(i, 0.0) == 0.0)
-    top += [(0.0, i) for i in islice(zeros, k - len(top))]
-    top += heapq.nsmallest(k - len(top),
-                           ((-s, i) for i, s in scores.items() if s < 0))
-    return [(i, scores.get(i, 0.0)) for _, i in top]
+    top += islice(zeros, k - len(top))
+    top += islice((i for s, i in best if s > 0), k - len(top))
+    return [(i, scores.get(i, 0.0)) for i in top]
 
 
 def paragraph_scores(idx: Index, q: Query) -> dict[int, float]:
@@ -322,67 +332,57 @@ def document_technique(idx: Index, q: Query, k_docs: int = 5,
 
 
 def save_index(idx: Index, path: Path | str) -> None:
-    """Persist the index's paragraphs as a JSON snapshot, replacing any
-    existing file atomically, with the mode the umask allows (0644 under
-    umask 022). Everything else is derived from the paragraphs."""
-    path = Path(path)
-    # The bytes of json.dumps(payload, ensure_ascii=False), written a
-    # record at a time with the C encoder, which json.dump never takes.
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    records = (encode({"doc_id": p.doc_id, "para_id": p.para_id,
-                       "text": p.text, "terms": p.terms})
-               for p in idx.paragraphs)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    """Persist the index's paragraphs as a JSON snapshot, the bytes of
+    ``json.dumps(payload, ensure_ascii=False)`` with one list per paragraph
+    field. The file is replaced atomically and gets the mode the umask allows
+    (0644 under umask 022). Everything else is derived from the paragraphs."""
+    payload = {"format_version": INDEX_FORMAT_VERSION,
+               **{name: list(map(attrgetter(field), idx.paragraphs))
+                  for name, (field, _) in _COLUMNS.items()}}
+    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(f'{{"format_version": {INDEX_FORMAT_VERSION}, '
-                     f'"paragraphs": [{next(records, "")}')
-            fh.writelines(", " + r for r in records)
-            fh.write("]}")
+            fh.write(json.dumps(payload, ensure_ascii=False))
         # mkstemp creates the file readable by its owner only; give it the
         # mode a plain open() would. The umask can only be read by setting it.
-        umask = os.umask(0o022)
-        os.umask(umask)
+        os.umask(umask := os.umask(0o022))
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
-def _paragraph_from_record(record) -> Paragraph:
-    # Plain exact-type checks, run once a paragraph: a bool is not an int.
-    doc_id, para_id, text, terms = (
-        (record.get("doc_id"), record.get("para_id"), record.get("text"),
-         record.get("terms")) if type(record) is dict else (None,) * 4)
-    if not (type(doc_id) is str and type(para_id) is int
-            and type(text) is str and type(terms) is dict):
-        raise ValueError(f"malformed paragraph in index snapshot: {record!r:.80}")
-    for tf in terms.values() or (0,):  # no terms fails as a zero count
-        if type(tf) is not int or tf < 1:
-            raise ValueError("paragraph terms in index snapshot must map "
-                             f"words to positive counts: {doc_id}#{para_id}")
-    return Paragraph(doc_id=doc_id, para_id=para_id, text=text, terms=terms)
-
-
 def load_index(path: Path | str) -> Index:
-    """Read a snapshot written by save_index. Raises ValueError for any
-    other format version, a payload of the wrong shape or nested too deeply
-    to parse, or paragraphs not in strictly ascending (doc_id, para_id)
-    order."""
+    """Read a snapshot written by save_index. Raises ValueError, naming what
+    is at fault, for any other format version, a payload of the wrong shape
+    or nested too deeply to parse, or paragraphs out of order. Each list is
+    checked as a whole, by exact type: a bool is not an int."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError("index snapshot is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("index snapshot is not a JSON object")
-    version = payload.get("format_version")
-    if version != INDEX_FORMAT_VERSION:
+    if (version := payload.get("format_version")) != INDEX_FORMAT_VERSION:
         raise ValueError(f"unsupported index format version: {version} "
                          f"(expected {INDEX_FORMAT_VERSION}; rebuild the "
                          "snapshot with `halqa index`)")
-    records = payload.get("paragraphs")
-    if not isinstance(records, list) or not records:
-        raise ValueError("index snapshot has no paragraphs")
-    return Index(paragraphs=tuple(_paragraph_from_record(r) for r in records))
+    columns = {name: payload.get(name) for name in _COLUMNS}
+    shape = {k: len(c) if type(c) is list else None for k, c in columns.items()}
+    if len({*shape.values()}) > 1 or not shape["doc_ids"]:
+        raise ValueError(f"index snapshot needs equal non-empty lists: {shape}")
+
+    def refusal(name, bad):  # run only once a whole-list check has failed
+        i = next(i for i, v in enumerate(columns[name]) if bad(v))
+        of = f" (doc_id {d!r})" if type(d := columns["doc_ids"][i]) is str else ""
+        return ValueError(f"index snapshot {name}[{i}]{of} is malformed: "
+                          f"{columns[name][i]!r:.80}")
+    for name, (_, kind) in _COLUMNS.items():
+        if {*map(type, columns[name])} != {kind}:
+            raise refusal(name, lambda v: type(v) is not kind)
+    counts = [*chain.from_iterable(map(dict.values, terms := columns["terms"]))]
+    if not all(terms) or {*map(type, counts)} != {int} or min(counts) < 1:
+        raise refusal("terms", lambda t: not t or any(
+            type(tf) is not int or tf < 1 for tf in t.values()))
+    return Index(paragraphs=tuple(map(Paragraph, *columns.values())))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -176,25 +177,29 @@ class TestAskCommand:
     @pytest.mark.parametrize("content", [
         "[1, 2]",
         '{"format_version": 1, "paragraphs": []}',
-        '{"format_version": %d, "paragraphs": [{"doc_id": "d1"}]}'
-        % INDEX_FORMAT_VERSION,
+        # version 2 kept one record per paragraph
+        '{"format_version": 2, "paragraphs": [{"doc_id": "d1"}]}',
         "{not json",
+        '{"format_version": %d, "doc_ids": ["d1"]}' % INDEX_FORMAT_VERSION,
         # a paragraph given twice, and paragraphs in reverse order
-        json.dumps({"format_version": INDEX_FORMAT_VERSION, "paragraphs": [
-            {"doc_id": "d1", "para_id": 0, "text": "محمد ولد جميل",
-             "terms": {"محمد": 1, "ولد": 1, "جميل": 1}}] * 2}),
-        json.dumps({"format_version": INDEX_FORMAT_VERSION, "paragraphs": [
-            {"doc_id": "d2", "para_id": 0, "text": "فتح محمود الباب",
-             "terms": {"فتح": 1, "محمود": 1, "باب": 1}},
-            {"doc_id": "d1", "para_id": 0, "text": "محمد ولد جميل",
-             "terms": {"محمد": 1, "ولد": 1, "جميل": 1}}]}),
+        json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                    "doc_ids": ["d1", "d1"], "para_ids": [0, 0],
+                    "texts": ["محمد ولد جميل"] * 2,
+                    "terms": [{"محمد": 1, "ولد": 1, "جميل": 1}] * 2}),
+        json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                    "doc_ids": ["d2", "d1"], "para_ids": [0, 0],
+                    "texts": ["فتح محمود الباب", "محمد ولد جميل"],
+                    "terms": [{"فتح": 1, "محمود": 1, "باب": 1},
+                              {"محمد": 1, "ولد": 1, "جميل": 1}]}),
         # a bool is not a para_id or a count
-        json.dumps({"format_version": INDEX_FORMAT_VERSION, "paragraphs": [
-            {"doc_id": "d1", "para_id": True, "text": "محمد ولد جميل",
-             "terms": {"محمد": 1, "ولد": 1, "جميل": 1}}]}),
-        json.dumps({"format_version": INDEX_FORMAT_VERSION, "paragraphs": [
-            {"doc_id": "d1", "para_id": 0, "text": "محمد ولد جميل",
-             "terms": {"محمد": 1, "ولد": True, "جميل": 1}}]}),
+        json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                    "doc_ids": ["d1"], "para_ids": [True],
+                    "texts": ["محمد ولد جميل"],
+                    "terms": [{"محمد": 1, "ولد": 1, "جميل": 1}]}),
+        json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                    "doc_ids": ["d1"], "para_ids": [0],
+                    "texts": ["محمد ولد جميل"],
+                    "terms": [{"محمد": 1, "ولد": True, "جميل": 1}]}),
     ])
     def test_bad_snapshot_exits_2(self, runner, content, tmp_path):
         snap = tmp_path / "snap.json"
@@ -205,6 +210,10 @@ class TestAskCommand:
         assert "error:" in result.output
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
+        # Only a snapshot of another version is refused for its version.
+        version = re.match(r'{"format_version": (\d+)', content)
+        assert ("format version" in result.output) is (
+            version is not None and int(version[1]) != INDEX_FORMAT_VERSION)
 
     def test_deeply_nested_snapshot_exits_2(self, runner, tmp_path):
         # Too deep for the JSON parser's recursion limit.
@@ -253,6 +262,14 @@ class TestAskCommand:
                                       "هل محمد ولد جميل ؟"])
         assert result.exit_code == 2
         assert "error:" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_undecodable_corpus_file_is_named(self, runner, small_corpus):
+        (small_corpus / "x.txt").write_bytes(b"\xff\xfe")
+        result = runner.invoke(main, ["ask", "--corpus", str(small_corpus),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2
+        assert f"error: {small_corpus / 'x.txt'} is not UTF-8" in result.output
         assert isinstance(result.exception, SystemExit)
 
     def test_bare_article_exits_1(self, runner):

@@ -47,6 +47,15 @@ def random_query(rng: random.Random) -> Query:
     return Query.from_terms(terms)
 
 
+def snapshot_payload(idx: Index) -> dict:
+    """The payload a snapshot of ``idx`` holds, built without save_index."""
+    ps = idx.paragraphs
+    return {"format_version": INDEX_FORMAT_VERSION,
+            "doc_ids": [p.doc_id for p in ps],
+            "para_ids": [p.para_id for p in ps],
+            "texts": [p.text for p in ps], "terms": [p.terms for p in ps]}
+
+
 def oracle_stats(corpus):
     """Recount paragraph/document statistics directly from raw text."""
     para_counts, doc_counts = {}, {}
@@ -614,11 +623,13 @@ class TestPersistence:
 
     def test_snapshot_holds_only_paragraphs(self, lexicons, stemmer, tmp_path):
         path = tmp_path / "index.json"
-        save_index(build_index([("a", "x y x")], lexicons, stemmer), path)
+        save_index(build_index([("a", "x y x\n\nz"), ("b", "y")], lexicons,
+                               stemmer), path)
         assert json.loads(path.read_text(encoding="utf-8")) == {
             "format_version": INDEX_FORMAT_VERSION,
-            "paragraphs": [{"doc_id": "a", "para_id": 0, "text": "x y x",
-                            "terms": {"x": 2, "y": 1}}]}
+            "doc_ids": ["a", "a", "b"], "para_ids": [0, 1, 0],
+            "texts": ["x y x", "z", "y"],
+            "terms": [{"x": 2, "y": 1}, {"z": 1}, {"y": 1}]}
 
     def test_snapshot_bytes_equal_json_dumps(self, lexicons, stemmer,
                                              tmp_path):
@@ -629,59 +640,106 @@ class TestPersistence:
                     build_index_from_dir(CORPUS_DIR, lexicons, stemmer)):
             path = tmp_path / "index.json"
             save_index(idx, path)
-            payload = {"format_version": INDEX_FORMAT_VERSION,
-                       "paragraphs": [{"doc_id": p.doc_id, "para_id": p.para_id,
-                                       "text": p.text, "terms": p.terms}
-                                      for p in idx.paragraphs]}
             assert path.read_bytes() == json.dumps(
-                payload, ensure_ascii=False).encode("utf-8")
+                snapshot_payload(idx), ensure_ascii=False).encode("utf-8")
             assert load_index(path) == idx
 
-    GOOD = {"doc_id": "a", "para_id": 0, "text": "x", "terms": {"x": 1}}
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_keeps_paragraphs_bytes_and_term_order(
+            self, lexicons, stemmer, tmp_path_factory, seed):
+        idx = build_index(random_corpus(random.Random(seed)), lexicons,
+                          stemmer)
+        path = tmp_path_factory.mktemp("snapshot") / "index.json"
+        save_index(idx, path)
+        loaded = load_index(path)
+        assert loaded == idx
+        assert path.read_bytes() == json.dumps(
+            snapshot_payload(idx), ensure_ascii=False).encode("utf-8")
+        assert [list(p.terms.items()) for p in loaded.paragraphs] == \
+            [list(p.terms.items()) for p in idx.paragraphs]
+
+    GOOD = {"format_version": INDEX_FORMAT_VERSION, "doc_ids": ["a"],
+            "para_ids": [0], "texts": ["x"], "terms": [{"x": 1}]}
+    # a version-2 snapshot: one record per paragraph
+    VERSION_2 = {"format_version": 2, "paragraphs": [
+        {"doc_id": "a", "para_id": 0, "text": "x", "terms": {"x": 1}}]}
 
     @pytest.mark.parametrize("payload", [
         [1, 2],
         "index",
         {"format_version": INDEX_FORMAT_VERSION},
-        {"format_version": INDEX_FORMAT_VERSION, "paragraphs": []},
-        {"format_version": INDEX_FORMAT_VERSION, "paragraphs": {"a": 1}},
-        {"format_version": INDEX_FORMAT_VERSION, "paragraphs": [1]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{k: v for k, v in GOOD.items() if k != "terms"}]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "para_id": "0"}]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "para_id": True}]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "doc_id": None}]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "terms": ["x"]}]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "terms": {}}]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "terms": {"x": "1"}}]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "terms": {"x": 0}}]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "terms": {"x": True}}]},
+        {**GOOD, "doc_ids": [], "para_ids": [], "texts": [], "terms": []},
+        {**GOOD, "terms": {"a": 1}},
+        {**GOOD, "terms": [1]},
+        {k: v for k, v in GOOD.items() if k != "terms"},
+        {**GOOD, "para_ids": ["0"]},
+        {**GOOD, "para_ids": [True]},
+        {**GOOD, "doc_ids": [None]},
+        {**GOOD, "terms": [["x"]]},
+        {**GOOD, "terms": [{}]},
+        {**GOOD, "terms": [{"x": "1"}]},
+        {**GOOD, "terms": [{"x": 0}]},
+        {**GOOD, "terms": [{"x": True}]},
         # paragraphs not in strictly ascending (doc_id, para_id) order
-        {"format_version": INDEX_FORMAT_VERSION, "paragraphs": [GOOD, GOOD]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "para_id": 1}, GOOD]},
-        {"format_version": INDEX_FORMAT_VERSION,
-         "paragraphs": [{**GOOD, "doc_id": "b"}, GOOD]},
+        {**GOOD, "doc_ids": ["a", "a"], "para_ids": [0, 0],
+         "texts": ["x", "x"], "terms": [{"x": 1}, {"x": 1}]},
+        {**GOOD, "doc_ids": ["a", "a"], "para_ids": [1, 0],
+         "texts": ["x", "x"], "terms": [{"x": 1}, {"x": 1}]},
+        {**GOOD, "doc_ids": ["b", "a"], "para_ids": [0, 0],
+         "texts": ["x", "x"], "terms": [{"x": 1}, {"x": 1}]},
         # a version-1 snapshot, which stored the statistics as well
         {"format_version": 1,
-         "paragraphs": [{**GOOD, "pl": 1}],
+         "paragraphs": [{**VERSION_2["paragraphs"][0], "pl": 1}],
          "documents": [{"doc_id": "a", "terms": {"x": 1}, "max_tf": 1}],
          "df_p": {"x": 1}, "df_d": {"x": 1}},
         {"format_version": 1, "paragraphs": []},
+        VERSION_2,
     ])
     def test_malformed_snapshot_rejected(self, payload, tmp_path):
         path = tmp_path / "index.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             load_index(path)
+        # Only a snapshot of another version is refused for its version.
+        other_version = isinstance(payload, dict) and \
+            payload.get("format_version") != INDEX_FORMAT_VERSION
+        assert ("format version" in str(refused.value)) is other_version
+
+    TWO = {"format_version": INDEX_FORMAT_VERSION, "doc_ids": ["a", "b"],
+           "para_ids": [0, 0], "texts": ["x", "y"],
+           "terms": [{"x": 1}, {"y": 1}]}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"para_ids": [0]}, "needs equal non-empty lists: {'doc_ids': 2, "
+                            "'para_ids': 1, 'texts': 2, 'terms': 2}"),
+        ({"texts": None}, "needs equal non-empty lists: {'doc_ids': 2, "
+                          "'para_ids': 2, 'texts': None, 'terms': 2}"),
+        ({"terms": {"x": 1, "y": 1}}, "'terms': None}"),
+        ({"para_ids": [0, True]}, "para_ids[1] (doc_id 'b') is malformed: "
+                                  "True"),
+        ({"doc_ids": ["a", 7]}, "doc_ids[1] is malformed: 7"),
+        ({"terms": [{"x": 1}, {"y": True}]},
+         "terms[1] (doc_id 'b') is malformed: {'y': True}"),
+        ({"terms": [{"x": 1}, {"y": 0}]},
+         "terms[1] (doc_id 'b') is malformed: {'y': 0}"),
+        ({"terms": [{}, {"y": 1}]}, "terms[0] (doc_id 'a') is malformed: {}"),
+        ({"doc_ids": ["a", "a"]}, "not in strictly ascending (doc_id, "
+                                  "para_id) order at a#0"),
+        ({"doc_ids": ["b", "a"]}, "not in strictly ascending (doc_id, "
+                                  "para_id) order at a#0"),
+        ({"format_version": 2}, "rebuild the snapshot with `halqa index`"),
+    ], ids=["unequal-lengths", "missing-field", "not-a-list", "bool-para-id",
+            "int-doc-id", "bool-count", "zero-count", "empty-terms",
+            "duplicate", "out-of-order", "version-2"])
+    def test_refusal_names_the_fault(self, change, message, tmp_path):
+        path = tmp_path / "index.json"
+        payload = {k: v for k, v in {**self.TWO, **change}.items()
+                   if v is not None}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as refused:
+            load_index(path)
+        assert message in str(refused.value)
 
 
 class TestQuery:

@@ -1,11 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "halqa"
+from halqa.retrieval import INDEX_FORMAT_VERSION
+
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "halqa"
 each_module = pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                                       ids=lambda path: path.name)
 
@@ -55,3 +59,9 @@ def test_no_unused_private_names(path):
     unused = {name: line for name, line in defined.items()
               if name not in read}
     assert not unused, f"{path.name} defines private names it never reads: {unused}"
+
+
+def test_readme_states_the_snapshot_format_version():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"\(format version (\d+)\)", readme) == \
+        [str(INDEX_FORMAT_VERSION)]
