@@ -22,8 +22,8 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, islice
-from operator import attrgetter, neg
+from itertools import chain, islice
+from operator import attrgetter, lt, neg
 from pathlib import Path
 
 from .errors import EmptyCorpus
@@ -32,9 +32,8 @@ from .text_core import Lexicons, normalize, split_paragraphs, words
 
 INDEX_FORMAT_VERSION = 3
 
-# snapshot list -> (Paragraph field, its values' exact type), in field order
-_COLUMNS = {"doc_ids": ("doc_id", str), "para_ids": ("para_id", int),
-            "texts": ("text", str), "terms": ("terms", dict)}
+# snapshot list -> its values' exact type: the fields of Index, in order
+_COLUMNS = {"doc_ids": str, "para_ids": int, "texts": str, "terms": dict}
 
 # root -> ascending positions of the paragraphs or documents holding it
 Postings = dict[str, tuple[int, ...]]
@@ -55,55 +54,77 @@ class Paragraph:
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    paragraphs: tuple[Paragraph, ...]
+    positions: range  # of its paragraphs in the index
     terms: dict[str, int]  # root -> frequency, summed by Index.documents
-    max_tf: int
+
+    @property
+    def max_tf(self) -> int:
+        return max(self.terms.values())
 
 
 @dataclass(frozen=True)
 class Index:
-    """Paragraphs in strictly ascending (doc_id, para_id) order, so a
-    unit's position is its rank among equal scores.
+    """The paragraphs as the snapshot's four lists, a paragraph's values at
+    one position in each, in strictly ascending (doc_id, para_id) order:
+    a unit's position is its rank among equal scores. A ``Paragraph`` is
+    made only for a position that retrieval returns.
 
-    Everything else is derived from them on first use: the documents, the
-    postings of the paragraphs and of the documents, whose lengths are the
-    document frequencies, and one root at a time the weights of those
-    postings.
+    Everything else is derived on first use: the documents, the postings
+    of paragraphs and of documents (their lengths are the document
+    frequencies), and one root at a time the weights of those postings.
     """
-    paragraphs: tuple[Paragraph, ...]
+    doc_ids: tuple[str, ...]
+    para_ids: tuple[int, ...]
+    texts: tuple[str, ...]
+    terms: tuple[dict[str, int], ...]  # root -> frequency
 
     def __post_init__(self):
-        # Compared pairwise, not as a list of keys: one live tuple per
-        # paragraph sets off an extra full garbage collection while loading
-        # a large snapshot.
-        ps = self.paragraphs
-        for a, b in zip(ps, ps[1:]):
-            if (a.doc_id, a.para_id) >= (b.doc_id, b.para_id):
-                raise ValueError("index paragraphs are not in strictly "
-                                 "ascending (doc_id, para_id) order at "
-                                 f"{b.doc_id}#{b.para_id}")
+        ds, ps = self.doc_ids, self.para_ids
+        if not all(map(lt, zip(ds, ps), zip(ds[1:], ps[1:]))):
+            i = next(i for i in range(1, len(ds))
+                     if (ds[i - 1], ps[i - 1]) >= (ds[i], ps[i]))
+            raise ValueError("index paragraphs are not in strictly "
+                             "ascending (doc_id, para_id) order at "
+                             f"{ds[i]}#{ps[i]}")
+
+    def paragraph(self, i: int) -> Paragraph:
+        return Paragraph(self.doc_ids[i], self.para_ids[i], self.texts[i],
+                         self.terms[i])
+
+    @property
+    def paragraphs(self) -> tuple[Paragraph, ...]:
+        """Every paragraph, made anew on each read. For checks and tests:
+        the question path makes only the paragraphs it returns."""
+        return tuple(map(Paragraph, self.doc_ids, self.para_ids, self.texts,
+                         self.terms))
 
     @cached_property
     def documents(self) -> tuple[Document, ...]:
         # Summed here, not in a cached property per document: over 13,000
         # documents that takes a third less time and one object less each.
-        documents = []
-        for doc_id, paras in groupby(self.paragraphs, attrgetter("doc_id")):
-            first, *rest = paras = tuple(paras)
-            terms = dict(first.terms)  # plain dict sums: Counter's are slower
-            for p in rest:
-                for term, tf in p.terms.items():
+        documents, end = [], 0
+        # Counter keeps first-seen order, and a document's ids are adjacent.
+        for doc_id, n in Counter(self.doc_ids).items():
+            start, end = end, end + n
+            first, *rest = self.terms[start:end]
+            terms = dict(first)  # plain dict sums: Counter's are slower
+            for t in rest:
+                for term, tf in t.items():
                     terms[term] = terms.get(term, 0) + tf
-            documents.append(Document(doc_id, paras, terms, max(terms.values())))
+            documents.append(Document(doc_id, range(start, end), terms))
         return tuple(documents)
 
     @cached_property
+    def document_terms(self) -> tuple[dict[str, int], ...]:
+        return tuple(map(attrgetter("terms"), self.documents))
+
+    @cached_property
     def paragraph_postings(self) -> Postings:
-        return _postings(self.paragraphs)
+        return _postings(self.terms)
 
     @cached_property
     def document_postings(self) -> Postings:
-        return _postings(self.documents)
+        return _postings(self.document_terms)
 
     @cached_property
     def paragraph_weights(self) -> dict[str, array]:
@@ -121,18 +142,18 @@ class Index:
 
     @property
     def n_paragraphs(self) -> int:
-        return len(self.paragraphs)
+        return len(self.doc_ids)
 
     @property
     def n_documents(self) -> int:
         return len(self.documents)
 
 
-def _postings(units) -> Postings:
-    """The postings of a sequence of paragraphs or of documents."""
+def _postings(terms) -> Postings:
+    """The postings of a sequence of root -> frequency dicts, one a unit."""
     postings = defaultdict(list)
-    for i, unit in enumerate(units):
-        for term in unit.terms:
+    for i, unit in enumerate(terms):
+        for term in unit:
             postings[term].append(i)
     # Tuples, not lists: the garbage collector stops tracking a tuple of
     # ints, so a large vocabulary adds no work to its full collections.
@@ -180,25 +201,26 @@ def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
     paragraphs are all empty is excluded entirely.
     """
     roots: dict[str, str] = {}  # surface word -> root, for this build only
-    paragraphs = []
+    columns = doc_ids, para_ids, texts, terms = [], [], [], []  # of Index
     for doc_id, text in sorted(corpus):
         for para_id, para_text in enumerate(split_paragraphs(text)):
             content = [w for w in words(normalize(para_text))
                        if w not in lexicons.stopwords]
             for word in set(content).difference(roots):
                 roots[word] = stemmer.stem(word)
-            terms = Counter(map(roots.__getitem__, content))
-            if terms:
-                paragraphs.append(Paragraph(doc_id=doc_id, para_id=para_id,
-                                            text=para_text, terms=terms))
-    if not paragraphs:
+            if counts := Counter(map(roots.__getitem__, content)):
+                doc_ids.append(doc_id)
+                para_ids.append(para_id)
+                texts.append(para_text)
+                terms.append(counts)
+    if not doc_ids:
         raise EmptyCorpus("no document yielded an indexable paragraph")
-    return Index(paragraphs=tuple(paragraphs))
+    return Index(*map(tuple, columns))
 
 
 def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
-    """The (doc_id, text) pair of every .txt file in a directory, in
-    file-name order; the stem of the file name is the document id.
+    """The (doc_id, text) pair of every entry of a directory whose name ends
+    in .txt, in name order; the stem of the name is the document id.
 
     A file is UTF-8 and may begin with a byte order mark; ValueError names
     one that is not. CRLF and lone CR line ends read as LF, as in text mode.
@@ -206,18 +228,25 @@ def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
     if corpus_dir is None:
         raise EmptyCorpus("no corpus directory configured")
     corpus_dir = Path(corpus_dir)
-    # By name, not by Path: Path comparison runs in Python, once per
-    # comparison, and the names of one directory give the same order.
-    files = sorted(corpus_dir.glob("*.txt"), key=attrgetter("name"))
-    if not files:
+    # Names, not Path objects: a Path per file costs more than its reading.
+    try:
+        with os.scandir(corpus_dir) as entries:
+            names = sorted(e.name for e in entries if e.name.endswith(".txt"))
+    except OSError:  # not a readable directory: no files, as Path.glob finds
+        names = []
+    if not names:
         raise EmptyCorpus(f"no .txt files in {corpus_dir}")
     corpus = []
-    for f in files:
+    for name in names:
+        path = os.path.join(corpus_dir, name)
         try:
-            corpus.append((f.stem, f.read_bytes().decode("utf-8-sig")
-                           .replace("\r\n", "\n").replace("\r", "\n")))
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8-sig")
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{f} is not UTF-8: {exc}") from None
+            raise ValueError(f"{path} is not UTF-8: {exc}") from None
+        # Path(name).stem: ".txt" has no suffix, so it is its own stem.
+        corpus.append((name[:-4] or name,
+                       text.replace("\r\n", "\n").replace("\r", "\n")))
     return corpus
 
 
@@ -242,20 +271,22 @@ def _w_qt(qtf: int, max_qf: int, n_total: int, n: int) -> float:
     return (0.5 + 0.5 * qtf / max_qf) * math.log2(n_total / n)
 
 
-def _accumulate(units, postings: Postings, weights: dict[str, array],
-                q: Query, weight, norm, query_weight,
+def _accumulate(terms, norm, postings: Postings, weights: dict[str, array],
+                q: Query, weight, query_weight,
                 query_norm: int) -> dict[int, float]:
     """Position -> score of each unit holding a query root: the sum over
     its query roots, in ``q.qtf`` order, of W_unit * W_q, added term at a
-    time. Weights are kept in ``weights`` per root."""
+    time. ``terms`` holds each unit's root -> frequency dict, and ``norm``
+    reduces its frequencies to the unit's length (``sum``: pl; ``max``:
+    max_tf). Weights are kept in ``weights`` per root."""
     scores: dict[int, float] = {}
     get = scores.get
     for root, qtf in q.qtf.items():
         if positions := postings.get(root):
-            n_total, n = len(units), len(positions)
+            n_total, n = len(terms), len(positions)
             if root not in weights:  # 8 bytes a weight, and no gc tracking
                 weights[root] = array("d", [
-                    weight(units[i].terms[root], norm(units[i]), n_total, n)
+                    weight((t := terms[i])[root], norm(t.values()), n_total, n)
                     for i in positions])
             w_q = query_weight(qtf, query_norm, n_total, n)
             for i, w in zip(positions, weights[root]):
@@ -291,18 +322,16 @@ def paragraph_scores(idx: Index, q: Query) -> dict[int, float]:
     query. A paragraph scoring below 0 ranks below those sharing no root
     with the query. That is the formula as printed, and it is kept.
     """
-    return _accumulate(idx.paragraphs, idx.paragraph_postings,
-                       idx.paragraph_weights, q, _w_p, attrgetter("pl"),
-                       _w_p, q.ql)
+    return _accumulate(idx.terms, sum, idx.paragraph_postings,
+                       idx.paragraph_weights, q, _w_p, _w_p, q.ql)
 
 
 def document_scores(idx: Index, q: Query) -> dict[int, float]:
     """Position -> document similarity of each document holding a query
     root, with W_dt = (tf/max_tf) log2(N/n) and
     W_qt = (0.5 + 0.5*qtf/max_qf) log2(N/n), max_qf the query's own."""
-    return _accumulate(idx.documents, idx.document_postings,
-                       idx.document_weights, q, _w_dt,
-                       attrgetter("max_tf"), _w_qt, q.max_qf)
+    return _accumulate(idx.document_terms, max, idx.document_postings,
+                       idx.document_weights, q, _w_dt, _w_qt, q.max_qf)
 
 
 def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[ScoredCandidate]:
@@ -312,7 +341,7 @@ def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[ScoredCandidat
     is that of all paragraphs: the rest score 0, ties break by (doc_id,
     para_id) ascending, and zero scores rank above negative ones.
     """
-    return [ScoredCandidate(paragraph=idx.paragraphs[i], score=s)
+    return [ScoredCandidate(paragraph=idx.paragraph(i), score=s)
             for i, s in _top(paragraph_scores(idx, q), idx.n_paragraphs, k)]
 
 
@@ -326,19 +355,19 @@ def document_technique(idx: Index, q: Query, k_docs: int = 5,
     doc_id ascending.
     """
     top = _top(document_scores(idx, q), idx.n_documents, k_docs)
-    retained = Index(paragraphs=tuple(p for i, _ in sorted(top)
-                                      for p in idx.documents[i].paragraphs))
+    kept = [i for d, _ in sorted(top) for i in idx.documents[d].positions]
+    retained = Index(*(tuple(map(getattr(idx, name).__getitem__, kept))
+                       for name in _COLUMNS))
     return paragraph_technique(retained, q, k_paras)
 
 
 def save_index(idx: Index, path: Path | str) -> None:
-    """Persist the index's paragraphs as a JSON snapshot, the bytes of
-    ``json.dumps(payload, ensure_ascii=False)`` with one list per paragraph
-    field. The file is replaced atomically and gets the mode the umask allows
-    (0644 under umask 022). Everything else is derived from the paragraphs."""
+    """Persist the index's four lists as a JSON snapshot, the bytes of
+    ``json.dumps(payload, ensure_ascii=False)``. The file is replaced
+    atomically and gets the mode the umask allows (0644 under umask 022).
+    Everything else is derived from the lists."""
     payload = {"format_version": INDEX_FORMAT_VERSION,
-               **{name: list(map(attrgetter(field), idx.paragraphs))
-                  for name, (field, _) in _COLUMNS.items()}}
+               **{name: getattr(idx, name) for name in _COLUMNS}}
     fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -378,11 +407,11 @@ def load_index(path: Path | str) -> Index:
         of = f" (doc_id {d!r})" if type(d := columns["doc_ids"][i]) is str else ""
         return ValueError(f"index snapshot {name}[{i}]{of} is malformed: "
                           f"{columns[name][i]!r:.80}")
-    for name, (_, kind) in _COLUMNS.items():
+    for name, kind in _COLUMNS.items():
         if {*map(type, columns[name])} != {kind}:
             raise refusal(name, lambda v: type(v) is not kind)
     counts = [*chain.from_iterable(map(dict.values, terms := columns["terms"]))]
     if not all(terms) or {*map(type, counts)} != {int} or min(counts) < 1:
         raise refusal("terms", lambda t: not t or any(
             type(tf) is not int or tf < 1 for tf in t.values()))
-    return Index(paragraphs=tuple(map(Paragraph, *columns.values())))
+    return Index(*map(tuple, columns.values()))

@@ -3,6 +3,7 @@ import pytest
 from halqa.config import Config
 from halqa.morphology import LightStemmer, load_thesaurus
 from halqa.pipeline import Engine
+from halqa.retrieval import Index
 from halqa.text_core import Lexicons, load_wordlist
 
 from pathlib import Path
@@ -10,6 +11,12 @@ from pathlib import Path
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_DIR = FIXTURES / "corpus"
 QUESTIONS = FIXTURES / "questions.tsv"
+
+
+def index_of(paragraphs) -> Index:
+    """The index of the given paragraphs, in the order given."""
+    return Index(*zip(*((p.doc_id, p.para_id, p.text, p.terms)
+                        for p in paragraphs)))
 
 
 @pytest.fixture(scope="session")

@@ -20,10 +20,10 @@ from halqa.pipeline import Engine
 from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
                                      StemmedThesaurus, build_representations, parse_question,
                                      preprocess_special_verb)
-from halqa.retrieval import (Index, Paragraph, Query, build_index,
-                             document_scores, paragraph_scores)
+from halqa.retrieval import (Paragraph, Query, build_index, document_scores,
+                             paragraph_scores)
 
-from conftest import CORPUS_DIR, QUESTIONS
+from conftest import CORPUS_DIR, QUESTIONS, index_of
 from test_retrieval import (oracle_document_score, oracle_passage_score,
                             oracle_stats, random_corpus, random_query)
 
@@ -127,9 +127,9 @@ def test_criterion_3_formula_oracles(lexicons, stemmer):
 def test_criterion_4_spot_checks():
     # Passage: 4 paragraphs, term in 2, tf=3 over 10 terms, 1-term query.
     def index(*paragraphs):
-        return Index(paragraphs=tuple(
+        return index_of(
             Paragraph(doc_id=d, para_id=i, text="", terms=Counter(terms))
-            for d, i, terms in paragraphs))
+            for d, i, terms in paragraphs)
 
     idx = index(("a", 0, {"x": 3, "y": 7}), ("a", 1, {"x": 1}),
                 ("b", 0, {"y": 2}), ("b", 1, {"z": 1}))

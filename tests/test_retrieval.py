@@ -4,6 +4,8 @@ import os
 import random
 import stat
 from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +24,7 @@ from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
 from halqa.text_core import (normalize, remove_stopwords, split_paragraphs,
                              tokenize)
 
-from conftest import CORPUS_DIR, QUESTIONS
+from conftest import CORPUS_DIR, QUESTIONS, index_of
 
 # Synthetic vocabulary of latin terms: they pass the tokenizer untouched,
 # never collide with the stopword list, and are stemmer fixpoints, so
@@ -138,7 +140,7 @@ def full_scan_documents(idx: Index, q: Query, k_docs: int, k_paras: int):
     ranked = sorted(idx.documents,
                     key=lambda d: (-document_similarity(d, q, idx), d.doc_id))
     kept = sorted(ranked[:k_docs], key=lambda d: d.doc_id)
-    retained = Index(paragraphs=tuple(p for d in kept for p in d.paragraphs))
+    retained = index_of(idx.paragraph(i) for d in kept for i in d.positions)
     return full_scan_paragraphs(retained, q, k_paras)
 
 
@@ -288,6 +290,25 @@ class TestReadCorpus:
         assert [doc_id for doc_id, _ in read_corpus(tmp_path)] == \
             ["a-b", "a", "b"]
 
+    def test_every_name_ending_in_txt(self, tmp_path):
+        # Dot files count, and the doc id is the name's stem: ".txt" has no
+        # suffix, "..txt" has the stem ".".
+        names = (".txt", "..txt", "a.txt", "b.txt.txt", "c.TXT", "d.txt~",
+                 "e.text", "f")
+        for name in names:
+            (tmp_path / name).write_text(name, encoding="utf-8")
+        corpus = read_corpus(tmp_path)
+        assert corpus == [(".", "..txt"), (".txt", ".txt"), ("a", "a.txt"),
+                          ("b.txt", "b.txt.txt")]
+        assert [doc_id for doc_id, _ in corpus] == \
+            [Path(text).stem for _, text in corpus]
+
+    def test_directory_named_txt_is_read_as_a_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("محمد ولد جميل", encoding="utf-8")
+        (tmp_path / "d.txt").mkdir()
+        with pytest.raises(IsADirectoryError):
+            read_corpus(tmp_path)
+
     @pytest.mark.parametrize("plain_file", [False, True],
                              ids=["missing", "plain-file"])
     def test_no_directory_is_an_empty_corpus(self, tmp_path, plain_file):
@@ -309,7 +330,7 @@ class TestFormulaSpotChecks:
             Paragraph(doc_id="b", para_id=0, text="", terms=Counter({"y": 2})),
             Paragraph(doc_id="b", para_id=1, text="", terms=Counter({"z": 1})),
         ]
-        idx = Index(paragraphs=(target, *filler))
+        idx = index_of((target, *filler))
         assert target.pl == 10
         assert df(idx.paragraph_postings) == {"x": 2, "y": 2, "z": 1}
         return target, idx
@@ -324,17 +345,17 @@ class TestFormulaSpotChecks:
     def test_passage_formula_restricted_overrides(self):
         # An index over a subset of paragraphs supplies its own N and n.
         target, idx = self.make_passage_index()
-        restricted = Index(paragraphs=(target, idx.paragraphs[2]))
+        restricted = index_of((target, idx.paragraph(2)))
         q = Query(qtf=Counter({"x": 1}))
         got = passage_similarity(target, q, restricted)
         # (2/1)*log2(4/10) * (2/1)*log2(2/1)
         assert got == pytest.approx(4 * math.log2(0.4), abs=1e-9)
 
     def test_document_formula(self):
-        idx = Index(paragraphs=tuple(
+        idx = index_of(
             Paragraph(doc_id=d, para_id=0, text="", terms=Counter(terms))
             for d, terms in [("a", {"x": 3, "y": 1}), ("b", {"x": 1, "y": 1}),
-                             ("c", {"y": 1}), ("d", {"y": 1})]))
+                             ("c", {"y": 1}), ("d", {"y": 1})])
         doc = idx.documents[0]
         assert (doc.max_tf, df(idx.document_postings)) == (3, {"x": 2, "y": 4})
         q = Query(qtf=Counter({"x": 1}))
@@ -364,8 +385,8 @@ class TestWeightedPostings:
                 assert c.score == passage_similarity(c.paragraph, q, idx)
             top = document_technique(idx, q, k_docs=3, k_paras=idx.n_paragraphs)
             kept = {c.doc_id for c in top}
-            retained = Index(paragraphs=tuple(
-                p for p in idx.paragraphs if p.doc_id in kept))
+            retained = index_of(
+                p for p in idx.paragraphs if p.doc_id in kept)
             assert len(top) == retained.n_paragraphs
             for c in top:
                 assert c.score == passage_similarity(c.paragraph, q, retained)
@@ -400,8 +421,8 @@ class TestWeightedPostings:
                  Paragraph(doc_id="a", para_id=1, text="", terms={"x": 1}),
                  Paragraph(doc_id="b", para_id=0, text="", terms={"y": 2}),
                  Paragraph(doc_id="c", para_id=0, text="", terms={"x": 2}))
-        full = Index(paragraphs=paras)
-        restricted = Index(paragraphs=paras[:3])
+        full = index_of(paras)
+        restricted = index_of(paras[:3])
         for idx in (full, restricted):
             paragraph_scores(idx, Query.from_terms(["x"]))
             document_scores(idx, Query.from_terms(["x"]))
@@ -468,7 +489,7 @@ class TestTechniques:
                       for d, i in [("b", 1), ("a", 0), ("b", 0)])
         # An index holds its paragraphs in (doc_id, para_id) order only.
         with pytest.raises(ValueError):
-            Index(paragraphs=paras)
+            index_of(paras)
         idx = build_index([("b", "x\n\nx"), ("a", "x")], lexicons, stemmer)
         q = Query.from_terms(["x"])
         top = paragraph_technique(idx, q, k=3)
@@ -569,13 +590,51 @@ class TestTechniques:
     def test_candidates_are_index_paragraphs(self, lexicons, stemmer):
         idx = build_index([("a", "x\n\ny"), ("b", "x y")], lexicons, stemmer)
         q = Query.from_terms(["x", "y"])
+        positions = {key: i for i, key in
+                     enumerate(zip(idx.doc_ids, idx.para_ids))}
         for top in (paragraph_technique(idx, q, k=3),
                     document_technique(idx, q, k_docs=2, k_paras=3)):
             assert len(top) == 3
             for c in top:
-                assert any(c.paragraph is p for p in idx.paragraphs)
+                i = positions[c.doc_id, c.para_id]
+                assert c.paragraph == idx.paragraph(i)
                 assert (c.doc_id, c.para_id) == (c.paragraph.doc_id,
                                                  c.paragraph.para_id)
+
+
+class TestParagraphsOnDemand:
+    def test_paragraphs_are_made_only_for_returned_positions(
+            self, lexicons, stemmer, tmp_path, monkeypatch):
+        made = []
+
+        class CountingParagraph(Paragraph):
+            def __init__(self, *args):
+                made.append(args[:2])
+                super().__init__(*args)
+
+        path = tmp_path / "index.json"
+        save_index(build_index_from_dir(CORPUS_DIR, lexicons, stemmer), path)
+        monkeypatch.setattr(retrieval, "Paragraph", CountingParagraph)
+        idx = load_index(path)
+        assert made == []
+        q = Query.from_terms(list(idx.terms[0]))
+        top = paragraph_technique(idx, q, k=3)
+        assert made == [(c.doc_id, c.para_id) for c in top]
+        assert len(made) == 3
+        made.clear()
+        top = document_technique(idx, q, k_docs=5, k_paras=4)
+        assert made == [(c.doc_id, c.para_id) for c in top]
+        assert len(made) == 4
+
+    def test_index_fields_are_the_snapshot_lists(self, lexicons, stemmer):
+        idx = build_index([("a", "x y x\n\nz"), ("b", "y")], lexicons, stemmer)
+        assert [f.name for f in fields(Index)] == list(retrieval._COLUMNS)
+        assert (idx.doc_ids, idx.para_ids, idx.texts, idx.terms) == \
+            (("a", "a", "b"), (0, 1, 0), ("x y x", "z", "y"),
+             ({"x": 2, "y": 1}, {"z": 1}, {"y": 1}))
+        assert idx.paragraphs == tuple(map(idx.paragraph, range(3)))
+        assert [d.positions for d in idx.documents] == [range(0, 2),
+                                                        range(2, 3)]
 
 
 class TestPersistence:
@@ -636,7 +695,7 @@ class TestPersistence:
         quoted = Paragraph(doc_id="a", para_id=0,
                            text='قال "نعم" \\ ثم\nمضى',
                            terms=Counter({"قال": 1, "نعم": 1, "مضى": 1}))
-        for idx in (Index(paragraphs=(quoted,)),
+        for idx in (index_of((quoted,)),
                     build_index_from_dir(CORPUS_DIR, lexicons, stemmer)):
             path = tmp_path / "index.json"
             save_index(idx, path)

@@ -61,6 +61,16 @@ def test_no_unused_private_names(path):
     assert not unused, f"{path.name} defines private names it never reads: {unused}"
 
 
+@each_module
+def test_no_module_reads_every_paragraph(path):
+    # Index.paragraphs makes a Paragraph for every position each time it is
+    # read; it is for checks and tests, so the package itself never reads it.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "paragraphs"]
+    assert not lines, f"{path.name} reads .paragraphs at lines {lines}"
+
+
 def test_readme_states_the_snapshot_format_version():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert re.findall(r"\(format version (\d+)\)", readme) == \
