@@ -53,10 +53,6 @@ class CandidateSentence:
     span_rank: int
     via_advanced_search: bool = False
 
-    @property
-    def answer_negated(self) -> bool:
-        return self.sentence.negated
-
     def describe(self) -> dict:
         """Where the sentence is, which representation it matched and how
         tightly: one entry of a verdict's trace."""
@@ -79,7 +75,7 @@ class Verdict:
         if (c := self.supporting) is not None:
             rec.update(c.describe(), sentence=c.sentence.text,
                        rep_negated=c.matched_rep.negated,
-                       answer_negated=c.answer_negated)
+                       answer_negated=c.sentence.negated)
         return rec
 
 
@@ -180,5 +176,5 @@ def select_answer(prepared: list[tuple[Sentence, ...]], repset: RepSet,
         return Verdict(answer=Answer.UNKNOWN, supporting=None, trace=trace)
     best = candidates[0]
     return Verdict(answer=resolve_polarity(best.matched_rep.negated,
-                                           best.answer_negated),
+                                           best.sentence.negated),
                    supporting=best, trace=trace)

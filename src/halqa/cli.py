@@ -119,7 +119,7 @@ def cmd_ask(config_file, index_path, verbose, as_json, question, **overrides):
         click.echo(f"supporting: {supporting.sentence.text} "
                    f"[{supporting.sentence.doc_id}#{supporting.sentence.para_id}]")
     if verbose:
-        q = result.question
+        q = result.reps.source
         click.echo(f"parsed: kind={q.kind.value} head={q.head} "
                    f"relation={q.relation} remaining={list(q.remaining)} "
                    f"negated={q.negated}")
@@ -151,7 +151,7 @@ def cmd_eval(config_file, as_json, sweep_sizes, sweep_all_questions,
     try:
         config = _build_config(config_file, **overrides)
         questions = load_questions(questions_file)
-        if sweep_sizes:
+        if sweep_sizes is not None:
             try:
                 sizes = [int(s) for s in sweep_sizes.split(",")]
             except ValueError:

@@ -10,25 +10,21 @@ from .answer_selection import (Sentence, Verdict, prepare_sentences,
                                select_answer)
 from .config import Config
 from .morphology import LightStemmer, load_thesaurus
-from .question_analysis import (ParsedQuestion, RepSet, StemmedThesaurus,
+from .question_analysis import (RepSet, StemmedThesaurus,
                                 build_representations, parse_question,
                                 preprocess_special_verb,
                                 retrieval_term_multiset)
-from .retrieval import (Index, Paragraph, Query, ScoredCandidate,
-                        build_index_from_dir, document_technique, load_index,
-                        paragraph_technique, save_index)
+from .retrieval import (Index, Paragraph, Query, build_index_from_dir,
+                        document_technique, load_index, paragraph_technique,
+                        save_index)
 from .text_core import Lexicons
 
 
 @dataclass(frozen=True)
 class AnswerResult:
     reps: RepSet
-    retrieved: tuple[ScoredCandidate, ...]
+    retrieved: tuple[Paragraph, ...]  # each carrying its score
     verdict: Verdict
-
-    @property
-    def question(self) -> ParsedQuestion:
-        return self.reps.source
 
 
 class Engine:
@@ -66,7 +62,7 @@ class Engine:
         return build_representations(parsed, self.thesaurus, self.stemmer,
                                      use_thesaurus=self.config.use_thesaurus)
 
-    def retrieve(self, reps: RepSet) -> list[ScoredCandidate]:
+    def retrieve(self, reps: RepSet) -> list[Paragraph]:
         query = Query.from_terms(retrieval_term_multiset(reps, self.stemmer))
         cfg = self.config
         if cfg.technique == "document":
@@ -88,7 +84,7 @@ class Engine:
         reps = self.analyze(question)
         retrieved = self.retrieve(reps)
         verdict = select_answer(
-            [self._sentences(c.paragraph) for c in retrieved], reps,
+            [self._sentences(p) for p in retrieved], reps,
             use_advanced_search=self.config.use_advanced_search)
         return AnswerResult(reps=reps, retrieved=tuple(retrieved),
                             verdict=verdict)

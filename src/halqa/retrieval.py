@@ -45,10 +45,7 @@ class Paragraph:
     para_id: int
     text: str
     terms: dict[str, int]  # root -> frequency
-
-    @property
-    def pl(self) -> int:  # non-stop term count
-        return sum(self.terms.values())
+    score: float = 0.0  # its similarity, once retrieval has returned it
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,6 @@ class Document:
     doc_id: str
     positions: range  # of its paragraphs in the index
     terms: dict[str, int]  # root -> frequency, summed by Index.documents
-
-    @property
-    def max_tf(self) -> int:
-        return max(self.terms.values())
 
 
 @dataclass(frozen=True)
@@ -87,9 +80,9 @@ class Index:
                              "ascending (doc_id, para_id) order at "
                              f"{ds[i]}#{ps[i]}")
 
-    def paragraph(self, i: int) -> Paragraph:
+    def paragraph(self, i: int, score: float = 0.0) -> Paragraph:
         return Paragraph(self.doc_ids[i], self.para_ids[i], self.texts[i],
-                         self.terms[i])
+                         self.terms[i], score)
 
     @property
     def paragraphs(self) -> tuple[Paragraph, ...]:
@@ -175,20 +168,6 @@ class Query:
     @property
     def max_qf(self) -> int:
         return max(self.qtf.values(), default=0)
-
-
-@dataclass(frozen=True)
-class ScoredCandidate:
-    paragraph: Paragraph
-    score: float
-
-    @property
-    def doc_id(self) -> str:
-        return self.paragraph.doc_id
-
-    @property
-    def para_id(self) -> int:
-        return self.paragraph.para_id
 
 
 def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
@@ -321,6 +300,10 @@ def paragraph_scores(idx: Index, q: Query) -> dict[int, float]:
     "x y w", or a paragraph of three or more roots against a one-root
     query. A paragraph scoring below 0 ranks below those sharing no root
     with the query. That is the formula as printed, and it is kept.
+    With every W_q negative (qtf+1 < ql, as for all the fixture's three-
+    and four-root questions), a matched root raises a score only when
+    pl > tf+1, the more the longer the paragraph and the less the more
+    often the root repeats: length can outrank a repeated head.
     """
     return _accumulate(idx.terms, sum, idx.paragraph_postings,
                        idx.paragraph_weights, q, _w_p, _w_p, q.ql)
@@ -334,19 +317,19 @@ def document_scores(idx: Index, q: Query) -> dict[int, float]:
                        idx.document_weights, q, _w_dt, _w_qt, q.max_qf)
 
 
-def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[ScoredCandidate]:
+def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[Paragraph]:
     """Rank the paragraphs corpus-wide; return the top k.
 
     Only the paragraphs holding a query root are scored, and the ranking
     is that of all paragraphs: the rest score 0, ties break by (doc_id,
     para_id) ascending, and zero scores rank above negative ones.
     """
-    return [ScoredCandidate(paragraph=idx.paragraph(i), score=s)
+    return [idx.paragraph(i, s)
             for i, s in _top(paragraph_scores(idx, q), idx.n_paragraphs, k)]
 
 
 def document_technique(idx: Index, q: Query, k_docs: int = 5,
-                       k_paras: int = 5) -> list[ScoredCandidate]:
+                       k_paras: int = 5) -> list[Paragraph]:
     """Rank documents, keep the top k_docs, then rank their paragraphs.
 
     Documents are ranked through the postings as paragraphs are; document

@@ -165,7 +165,7 @@ class TestSelectAnswer:
         verdict = select([para("ليس محمد ولد جميل")], rs,
                          lexicons, stemmer)
         assert verdict.answer is Answer.NO
-        assert verdict.supporting.answer_negated
+        assert verdict.supporting.sentence.negated
 
     def test_antonym_of_negated_sentence_yes(self, lexicons, stemmer,
                                              thesaurus):

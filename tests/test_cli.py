@@ -12,6 +12,7 @@ from halqa.evaluation import load_questions, sweep
 from halqa.retrieval import INDEX_FORMAT_VERSION
 
 from conftest import CORPUS_DIR, FIXTURES, QUESTIONS
+from generate_questions import GENERATED, generated_tsv
 
 
 @pytest.fixture()
@@ -333,7 +334,7 @@ class TestEvalCommand:
         assert f"sweep sizes must be at least 1, got {bad}" in result.output
         assert "corpus size" not in result.output
 
-    @pytest.mark.parametrize("sizes", ["5,,3", "a"])
+    @pytest.mark.parametrize("sizes", ["5,,3", "a", ""])
     def test_sweep_size_not_an_integer_exits_2(self, runner, sizes):
         result = runner.invoke(main, ["eval", "--corpus", str(CORPUS_DIR),
                                       "--sweep", sizes, str(QUESTIONS)])
@@ -381,14 +382,22 @@ class TestEvalCommand:
         ("advanced_off_thesaurus_off.jsonl",
          ["--advanced", "off", "--thesaurus", "off"]),
         ("sweep_5_10_13.jsonl", ["--sweep", "5,10,13"]),
+        ("generated_default.jsonl", []),
+        ("generated_document.jsonl", ["--technique", "document"]),
     ])
     def test_fixture_eval_matches_golden(self, runner, golden, flags):
         # A change that keeps behaviour leaves these bytes as they are.
+        # The generated questions' goldens also show a change of ranking.
+        questions = GENERATED if golden.startswith("generated_") else QUESTIONS
         result = runner.invoke(main, ["eval", "--corpus", str(CORPUS_DIR),
-                                      "--json", *flags, str(QUESTIONS)])
+                                      "--json", *flags, str(questions)])
         assert result.exit_code == 0, result.output
         assert result.output.encode("utf-8") == \
             (FIXTURES / "eval" / golden).read_bytes()
+
+    def test_generated_questions_match_the_fixture(self):
+        # Regenerated from the corpus, the file is the one checked in.
+        assert generated_tsv() == GENERATED.read_text(encoding="utf-8")
 
     def test_fixture_suite_runs(self, runner):
         result = runner.invoke(main, ["eval", "--corpus", str(CORPUS_DIR),

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from collections import Counter
 
@@ -8,7 +9,7 @@ from halqa.answer_selection import prepare_sentences
 from halqa.evaluation import load_questions
 from halqa.morphology import LightStemmer
 from halqa.pipeline import Engine
-from halqa.retrieval import build_index, load_index, save_index
+from halqa.retrieval import Paragraph, build_index, load_index, save_index
 
 from conftest import QUESTIONS
 
@@ -41,7 +42,7 @@ class TestSentenceMemo:
         retrieved = engine.answer(self.QUESTION).retrieved
         assert engine.index.sentences == {
             (c.doc_id, c.para_id): prepare_sentences(
-                c.paragraph, engine.lexicons, engine.stemmer)
+                c, engine.lexicons, engine.stemmer)
             for c in retrieved}
         engine.set_index(build_index([("a", "محمد ولد جميل")],
                                      engine.lexicons, engine.stemmer))
@@ -79,6 +80,22 @@ class TestSentenceMemo:
         assert [v.to_record() for v in second] == \
             [v.to_record() for v in first]
         assert [v.trace for v in second] == [v.trace for v in first]
+
+
+@pytest.mark.parametrize("technique", ["paragraph", "document"])
+def test_retrieved_are_the_index_paragraphs(config, technique):
+    # Retrieval hands answer selection the index's own Paragraphs, each
+    # carrying its score: no wrapper comes between.
+    engine = Engine(dataclasses.replace(config, technique=technique))
+    positions = {key: i for i, key in enumerate(
+        zip(engine.index.doc_ids, engine.index.para_ids))}
+    for question, _ in load_questions(QUESTIONS):
+        retrieved = engine.answer(question).retrieved
+        assert retrieved
+        for c in retrieved:
+            assert type(c) is Paragraph
+            assert c == engine.index.paragraph(
+                positions[c.doc_id, c.para_id], c.score)
 
 
 def test_paragraph_technique_builds_no_document(config, tmp_path,

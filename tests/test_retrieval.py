@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import shutil
 import stat
 from collections import Counter
 from dataclasses import fields
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from halqa import retrieval
+from halqa.config import Config
 from halqa.errors import EmptyCorpus
 from halqa.evaluation import load_questions
 from halqa.morphology import LightStemmer
+from halqa.pipeline import Engine
 from halqa.question_analysis import retrieval_term_multiset
 from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
                              _w_dt, _w_p, _w_qt, build_index,
@@ -117,13 +120,13 @@ def _one_unit(terms, norm, q: Query, query_norm, postings, n_total, weight,
 
 
 def passage_similarity(p: Paragraph, q: Query, idx: Index) -> float:
-    return _one_unit(p.terms, p.pl, q, q.ql, idx.paragraph_postings,
-                     idx.n_paragraphs, _w_p, _w_p)
+    return _one_unit(p.terms, sum(p.terms.values()), q, q.ql,
+                     idx.paragraph_postings, idx.n_paragraphs, _w_p, _w_p)
 
 
 def document_similarity(d, q: Query, idx: Index) -> float:
-    return _one_unit(d.terms, d.max_tf, q, q.max_qf, idx.document_postings,
-                     idx.n_documents, _w_dt, _w_qt)
+    return _one_unit(d.terms, max(d.terms.values()), q, q.max_qf,
+                     idx.document_postings, idx.n_documents, _w_dt, _w_qt)
 
 
 def full_scan_paragraphs(idx: Index, q: Query, k: int):
@@ -244,7 +247,6 @@ class TestIndexing:
     def test_build_from_dir(self, lexicons, stemmer):
         idx = build_index_from_dir(CORPUS_DIR, lexicons, stemmer)
         assert idx.n_documents == 13
-        assert all(p.pl == sum(p.terms.values()) for p in idx.paragraphs)
 
     def test_build_from_empty_dir(self, tmp_path, lexicons, stemmer):
         with pytest.raises(EmptyCorpus):
@@ -331,7 +333,7 @@ class TestFormulaSpotChecks:
             Paragraph(doc_id="b", para_id=1, text="", terms=Counter({"z": 1})),
         ]
         idx = index_of((target, *filler))
-        assert target.pl == 10
+        assert sum(target.terms.values()) == 10
         assert df(idx.paragraph_postings) == {"x": 2, "y": 2, "z": 1}
         return target, idx
 
@@ -357,7 +359,8 @@ class TestFormulaSpotChecks:
             for d, terms in [("a", {"x": 3, "y": 1}), ("b", {"x": 1, "y": 1}),
                              ("c", {"y": 1}), ("d", {"y": 1})])
         doc = idx.documents[0]
-        assert (doc.max_tf, df(idx.document_postings)) == (3, {"x": 2, "y": 4})
+        assert (max(doc.terms.values()), df(idx.document_postings)) == \
+            (3, {"x": 2, "y": 4})
         q = Query(qtf=Counter({"x": 1}))
         # (3/3)*log2(4/2) * (0.5+0.5)*log2(4/2)
         assert document_similarity(doc, q, idx) == pytest.approx(1.0, abs=1e-4)
@@ -382,14 +385,14 @@ class TestWeightedPostings:
             for i, d in enumerate(idx.documents):
                 assert scores.get(i, 0.0) == document_similarity(d, q, idx)
             for c in paragraph_technique(idx, q, k=idx.n_paragraphs):
-                assert c.score == passage_similarity(c.paragraph, q, idx)
+                assert c.score == passage_similarity(c, q, idx)
             top = document_technique(idx, q, k_docs=3, k_paras=idx.n_paragraphs)
             kept = {c.doc_id for c in top}
             retained = index_of(
                 p for p in idx.paragraphs if p.doc_id in kept)
             assert len(top) == retained.n_paragraphs
             for c in top:
-                assert c.score == passage_similarity(c.paragraph, q, retained)
+                assert c.score == passage_similarity(c, q, retained)
 
     def test_weights_are_derived_once_per_root(self, lexicons, stemmer,
                                                monkeypatch):
@@ -587,6 +590,29 @@ class TestTechniques:
         via_docs = document_technique(idx, q, k_docs=1, k_paras=1)[0]
         assert via_docs.doc_id == "b"
 
+    def test_longer_paragraph_outranks_repeated_root(self, engine, tmp_path):
+        # Every W_q of a three-root question is negative, so a matched root
+        # raises a paragraph's score only when pl > tf + 1, the more so the
+        # longer the paragraph. A paragraph of 15 roots naming محمد once
+        # outranks d01_muhammad#1, which names him twice in 7 roots.
+        question = "هل محمد ولد جميل ؟"
+        assert ("d01_muhammad", 1) in [
+            (c.doc_id, c.para_id) for c in engine.answer(question).retrieved]
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        for i in range(1, 6):
+            (corpus / f"z0{i}.txt").write_text(
+                "زار محمد المدينة القديمة مع اصدقائه في يوم مشمس وشاهد الاسواق"
+                f" والحدائق والمتاحف والقلاع والجسور والانهار والجبال{i}.",
+                encoding="utf-8")
+        result = Engine(Config(corpus_dir=corpus)).answer(question)
+        assert [(c.doc_id, c.para_id) for c in result.retrieved] == \
+            [("d01_muhammad", 0), ("z01", 0), ("z02", 0), ("z03", 0),
+             ("z04", 0)]
+        assert [c.score for c in result.retrieved] == \
+            pytest.approx([1261.568280, *[23.458883] * 4], abs=1e-6)
+        assert result.verdict.answer.value == "yes"
+
     def test_candidates_are_index_paragraphs(self, lexicons, stemmer):
         idx = build_index([("a", "x\n\ny"), ("b", "x y")], lexicons, stemmer)
         q = Query.from_terms(["x", "y"])
@@ -597,9 +623,7 @@ class TestTechniques:
             assert len(top) == 3
             for c in top:
                 i = positions[c.doc_id, c.para_id]
-                assert c.paragraph == idx.paragraph(i)
-                assert (c.doc_id, c.para_id) == (c.paragraph.doc_id,
-                                                 c.paragraph.para_id)
+                assert c == idx.paragraph(i, c.score)
 
 
 class TestParagraphsOnDemand:

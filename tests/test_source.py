@@ -71,6 +71,24 @@ def test_no_module_reads_every_paragraph(path):
     assert not lines, f"{path.name} reads .paragraphs at lines {lines}"
 
 
+@each_module
+def test_no_forwarding_properties(path):
+    # A property whose whole body is `return self.<field>.<attr>` only
+    # forwards: its callers can read the field's attribute themselves.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    forwarding = [
+        f"{cls.name}.{fn.name}"
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "property"
+                for d in fn.decorator_list)
+        and len(fn.body) == 1 and isinstance(ret := fn.body[0], ast.Return)
+        and isinstance(ret.value, ast.Attribute)
+        and isinstance(field := ret.value.value, ast.Attribute)
+        and isinstance(field.value, ast.Name) and field.value.id == "self"]
+    assert not forwarding, f"{path.name} has forwarding properties: {forwarding}"
+
+
 def test_readme_states_the_snapshot_format_version():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert re.findall(r"\(format version (\d+)\)", readme) == \
