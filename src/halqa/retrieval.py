@@ -35,6 +35,9 @@ INDEX_FORMAT_VERSION = 3
 # snapshot list -> its values' exact type: the fields of Index, in order
 _COLUMNS = {"doc_ids": str, "para_ids": int, "texts": str, "terms": dict}
 
+# bytes asked of each os.read of a corpus file
+_READ_CHUNK = 1 << 16
+
 # root -> ascending positions of the paragraphs or documents holding it
 Postings = dict[str, tuple[int, ...]]
 
@@ -187,7 +190,13 @@ def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
                        if w not in lexicons.stopwords]
             for word in set(content).difference(roots):
                 roots[word] = stemmer.stem(word)
-            if counts := Counter(map(roots.__getitem__, content)):
+            # A plain dict, as a loaded index holds: the collector always
+            # tracks a Counter, a dict subclass, but never a dict of ints.
+            counts = {}
+            for word in content:
+                root = roots[word]
+                counts[root] = counts.get(root, 0) + 1
+            if counts:
                 doc_ids.append(doc_id)
                 para_ids.append(para_id)
                 texts.append(para_text)
@@ -203,6 +212,8 @@ def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
 
     A file is UTF-8 and may begin with a byte order mark; ValueError names
     one that is not. CRLF and lone CR line ends read as LF, as in text mode.
+    OSError names the full path of an entry that cannot be read, such as a
+    directory or a dangling link.
     """
     if corpus_dir is None:
         raise EmptyCorpus("no corpus directory configured")
@@ -216,17 +227,37 @@ def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
     if not names:
         raise EmptyCorpus(f"no .txt files in {corpus_dir}")
     corpus = []
-    for name in names:
-        path = os.path.join(corpus_dir, name)
-        try:
-            with open(path, "rb") as fh:
-                text = fh.read().decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path} is not UTF-8: {exc}") from None
-        # Path(name).stem: ".txt" has no suffix, so it is its own stem.
-        corpus.append((name[:-4] or name,
-                       text.replace("\r\n", "\n").replace("\r", "\n")))
+    dir_fd = os.open(corpus_dir, os.O_RDONLY)
+    try:
+        for name in names:
+            try:
+                text = _read(name, dir_fd).decode("utf-8-sig")
+            except OSError as exc:  # it names the bare name, or no file
+                raise OSError(exc.errno, exc.strerror,
+                              os.path.join(corpus_dir, name)) from None
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{os.path.join(corpus_dir, name)} is not "
+                                 f"UTF-8: {exc}") from None
+            # Path(name).stem: ".txt" has no suffix, so it is its own stem.
+            corpus.append((name[:-4] or name,
+                           text.replace("\r\n", "\n").replace("\r", "\n")))
+    finally:
+        os.close(dir_fd)
     return corpus
+
+
+def _read(name: str, dir_fd: int) -> bytes:
+    """Every byte of the file ``name`` in the directory open as ``dir_fd``.
+    A descriptor and ``os.read``, not a file object: for a small file the
+    objects cost more than the reading."""
+    fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+    try:
+        chunks = [os.read(fd, _READ_CHUNK)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, _READ_CHUNK))
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def build_index_from_dir(corpus_dir: Path | str | None, lexicons: Lexicons,

@@ -253,16 +253,21 @@ class TestAskCommand:
         assert outputs[1] == outputs[0]
         assert json.loads(outputs[0])["answer"] == "yes"
 
-    @pytest.mark.parametrize("bad", ["directory", "invalid-utf8"])
+    @pytest.mark.parametrize("bad", ["directory", "dangling-link",
+                                     "invalid-utf8"])
     def test_unreadable_corpus_entry_exits_2(self, runner, small_corpus, bad):
+        path = small_corpus / "x.txt"
         if bad == "directory":
-            (small_corpus / "x.txt").mkdir()
+            path.mkdir()
+        elif bad == "dangling-link":
+            path.symlink_to(small_corpus / "missing")
         else:
-            (small_corpus / "x.txt").write_bytes(b"\xff\xfe\x00\xc3")
+            path.write_bytes(b"\xff\xfe\x00\xc3")
         result = runner.invoke(main, ["ask", "--corpus", str(small_corpus),
                                       "هل محمد ولد جميل ؟"])
         assert result.exit_code == 2
         assert "error:" in result.output
+        assert str(path) in result.output
         assert isinstance(result.exception, SystemExit)
 
     def test_undecodable_corpus_file_is_named(self, runner, small_corpus):

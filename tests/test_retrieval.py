@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import random
+import re
 import shutil
 import stat
 from collections import Counter
@@ -19,7 +21,7 @@ from halqa.morphology import LightStemmer
 from halqa.pipeline import Engine
 from halqa.question_analysis import retrieval_term_multiset
 from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
-                             _w_dt, _w_p, _w_qt, build_index,
+                             _READ_CHUNK, _w_dt, _w_p, _w_qt, build_index,
                              build_index_from_dir, document_scores,
                              document_technique, load_index,
                              paragraph_scores, paragraph_technique,
@@ -308,8 +310,57 @@ class TestReadCorpus:
     def test_directory_named_txt_is_read_as_a_file(self, tmp_path):
         (tmp_path / "a.txt").write_text("محمد ولد جميل", encoding="utf-8")
         (tmp_path / "d.txt").mkdir()
+        with pytest.raises(IsADirectoryError,
+                           match=re.escape(str(tmp_path / "d.txt"))):
+            read_corpus(tmp_path)
+
+    def test_dangling_link_names_its_full_path(self, tmp_path):
+        (tmp_path / "a.txt").write_text("محمد ولد جميل", encoding="utf-8")
+        (tmp_path / "x.txt").symlink_to(tmp_path / "missing")
+        with pytest.raises(FileNotFoundError,
+                           match=re.escape(str(tmp_path / "x.txt"))):
+            read_corpus(tmp_path)
+
+    def test_file_longer_than_a_read_reads_whole(self, tmp_path):
+        # About 300 KB with a BOM and CRLF line ends, and a two-byte letter
+        # split by every read boundary.
+        line = "محمد ولد جميل وكتب الطالب الدرس\r\n".encode()
+        data = bytearray(b"\xef\xbb\xbf")
+        while len(data) < 300_000:
+            boundary = (len(data) // _READ_CHUNK + 1) * _READ_CHUNK
+            if len(data) + len(line) < boundary - 1:
+                data += line
+            else:
+                data += b" " * (boundary - 1 - len(data)) + "ب".encode()
+        for boundary in range(_READ_CHUNK, len(data), _READ_CHUNK):
+            assert data[boundary - 1:boundary + 1] == "ب".encode()
+        assert len(data) > 4 * _READ_CHUNK
+        path = tmp_path / "long.txt"
+        path.write_bytes(data)
+        (tmp_path / "empty.txt").write_bytes(b"")
+        assert read_corpus(tmp_path) == [
+            ("empty", ""), ("long", path.read_text(encoding="utf-8-sig"))]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_no_descriptor_is_left_open(self, tmp_path):
+        def open_fds():
+            return sorted(os.listdir("/proc/self/fd"))
+
+        (tmp_path / "a.txt").write_text("محمد ولد جميل", encoding="utf-8")
+        before = open_fds()
+        assert read_corpus(tmp_path)
+        assert open_fds() == before
+        bad = tmp_path / "x.txt"
+        bad.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError, match="is not UTF-8"):
+            read_corpus(tmp_path)
+        assert open_fds() == before
+        bad.unlink()
+        bad.mkdir()
         with pytest.raises(IsADirectoryError):
             read_corpus(tmp_path)
+        assert open_fds() == before
 
     @pytest.mark.parametrize("plain_file", [False, True],
                              ids=["missing", "plain-file"])
@@ -673,6 +724,20 @@ class TestPersistence:
         path = tmp_path / "index.json"
         save_index(idx, path)
         assert load_index(path) == idx
+
+    def test_built_terms_are_the_loaded_dicts(self, lexicons, stemmer,
+                                              tmp_path):
+        # Plain dicts of ints, which the garbage collector does not track,
+        # in the same key order as a loaded snapshot's.
+        built = build_index_from_dir(CORPUS_DIR, lexicons, stemmer)
+        path = tmp_path / "index.json"
+        save_index(built, path)
+        loaded = load_index(path)
+        for idx in (built, loaded):
+            assert all(type(t) is dict for t in idx.terms)
+            assert not any(map(gc.is_tracked, idx.terms))
+        assert [list(t.items()) for t in built.terms] == \
+            [list(t.items()) for t in loaded.terms]
 
     def test_atomic_overwrite(self, lexicons, stemmer, tmp_path):
         path = tmp_path / "index.json"

@@ -14,6 +14,10 @@ each_module = pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                                       ids=lambda path: path.name)
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 @each_module
 def test_no_unused_imports(path):
     # A name counts as used when the module reads it or, in __init__.py,
@@ -53,12 +57,32 @@ def test_no_unused_private_names(path):
         else:
             continue
         defined.update((name, node.lineno) for name in targets
-                       if name.startswith("_") and not name.startswith("__"))
+                       if _private(name))
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = {name: line for name, line in defined.items()
               if name not in read}
     assert not unused, f"{path.name} defines private names it never reads: {unused}"
+
+
+@each_module
+def test_no_private_imports(path):
+    # Neither `from m import _x` nor `m._x` on an imported name: another
+    # module's private names, the standard library's included, may change.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+                if isinstance(node, ast.ImportFrom) and _private(alias.name):
+                    private.append((node.lineno, alias.name))
+    private += [(node.lineno, f"{node.value.id}.{node.attr}")
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported]
+    assert not private, f"{path.name} imports private names: {private}"
 
 
 @each_module
