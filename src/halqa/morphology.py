@@ -30,6 +30,13 @@ _SUFFIXES = ["ها", "ات", "ان", "ون", "ين", "ه", "ة", "ي", "ت"]
 # ال plus single-letter clitics and the imperfect markers ي/ت.
 _PREFIXES = ["ال", "و", "ف", "ب", "ك", "ل", "ي", "ت"]
 _MIN_STEM = 3
+# Each rule group as (strips a suffix, its affixes as (length, set) pairs,
+# longest first), derived once from the lists above.
+_RULES = tuple(
+    (suffix, tuple((n, frozenset(a for a in group if len(a) == n))
+                   for n in sorted({len(a) for a in group}, reverse=True)))
+    for suffix, group in ((False, _ARTICLE_PREFIX), (True, _SUFFIXES),
+                          (False, _PREFIXES)))
 
 # Particles that govern a following verb (jussive/subjunctive markers).
 _VERB_GOVERNORS = frozenset({"لم", "لن", "قد", "سوف"})
@@ -58,8 +65,11 @@ class LightStemmer:
             if len(cols) not in (2, 3):
                 raise LexiconParseError("expected 2 or 3 tab-separated columns",
                                         path, lineno)
-            word = normalize(cols[0].strip())
-            roots[word] = normalize(cols[1].strip())
+            word, root = normalize(cols[0].strip()), normalize(cols[1].strip())
+            if len(word.split()) != 1 or len(root.split()) != 1:
+                raise LexiconParseError("word and root must each be one word",
+                                        path, lineno)
+            roots[word] = root
             if len(cols) == 3:
                 tag = cols[2].strip().upper()
                 if tag not in PosTag.__members__:
@@ -76,29 +86,19 @@ class LightStemmer:
         stem = word
         while True:
             before = stem
-            stem = self._strip(stem, _ARTICLE_PREFIX, suffix=False)
-            stem = self._strip(stem, _SUFFIXES, suffix=True)
-            stem = self._strip(stem, _PREFIXES, suffix=False)
+            # Strip a group's affixes until none fits: for each length n,
+            # longest first, look the word's last (or first) n letters up.
+            for suffix, by_length in _RULES:
+                while True:
+                    for n, affixes in by_length:
+                        if len(stem) - n >= _MIN_STEM and \
+                                (stem[-n:] if suffix else stem[:n]) in affixes:
+                            stem = stem[:-n] if suffix else stem[n:]
+                            break
+                    else:
+                        break
             if stem == before:
                 return stem
-
-    @staticmethod
-    def _strip(word: str, affixes: list[str], suffix: bool) -> str:
-        changed = True
-        while changed:
-            changed = False
-            for affix in affixes:
-                if len(word) - len(affix) < _MIN_STEM:
-                    continue
-                if suffix and word.endswith(affix):
-                    word = word[:-len(affix)]
-                    changed = True
-                    break
-                if not suffix and word.startswith(affix):
-                    word = word[len(affix):]
-                    changed = True
-                    break
-        return word
 
     def tag(self, word: str, preceding: str | None = None) -> PosTag:
         """Tag a word NOUN or VERB.
