@@ -56,7 +56,8 @@ class LightStemmer:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "LightStemmer":
-        """Load overrides from a TSV of word<TAB>root[<TAB>NOUN|VERB]."""
+        """Load overrides from a TSV of word<TAB>root[<TAB>NOUN|VERB],
+        each word on one row only."""
         roots: dict[str, str] = {}
         tags: dict[str, PosTag] = {}
         path = Path(path)
@@ -69,6 +70,8 @@ class LightStemmer:
             if len(word.split()) != 1 or len(root.split()) != 1:
                 raise LexiconParseError("word and root must each be one word",
                                         path, lineno)
+            if word in roots:
+                raise LexiconParseError(f"duplicate word {word!r}", path, lineno)
             roots[word] = root
             if len(cols) == 3:
                 tag = cols[2].strip().upper()
@@ -129,8 +132,8 @@ def load_thesaurus(path: Path | str) -> Thesaurus:
     """Parse a TSV thesaurus: word<TAB>syn|ant<TAB>space-separated targets.
 
     Entries are Alef-normalized on load and duplicate keys merge by set
-    union. A word listed as both synonym and antonym of the same key is
-    rejected.
+    union. A key of more or less than one word, a target empty after
+    normalizing and a word both synonym and antonym of a key are rejected.
     """
     synonyms: dict[str, set[str]] = {}
     antonyms: dict[str, set[str]] = {}
@@ -142,7 +145,12 @@ def load_thesaurus(path: Path | str) -> Thesaurus:
                                     path, lineno)
         word = normalize(cols[0].strip())
         relation = cols[1].strip().lower()
-        targets = {normalize(t) for t in cols[2].split() if t}
+        targets = {normalize(t) for t in cols[2].split()}
+        if len(word.split()) != 1:
+            raise LexiconParseError("the key must be one word", path, lineno)
+        if "" in targets:
+            raise LexiconParseError("a target is empty after normalizing",
+                                    path, lineno)
         if relation == "syn":
             synonyms.setdefault(word, set()).update(targets)
         elif relation == "ant":

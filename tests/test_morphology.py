@@ -209,9 +209,10 @@ def test_override_file_parsing(tmp_path):
     ("كلمة اخرى\tكلم\n", 1),
     ("كلمة\tكلم اخر\tNOUN\n", 1),
     ("كلمة\tكلم\tADJ\n", 1),
+    ("كتاب\tكتب\nكتاب\tكتاب\n", 2),
 ], ids=["one-column", "empty-root", "root-empty-after-normalize",
         "word-empty-after-normalize", "space-in-word", "space-in-root",
-        "unknown-tag"])
+        "unknown-tag", "word-given-twice"])
 def test_override_file_rejects_bad_rows(tmp_path, rows, line):
     path = tmp_path / "overrides.tsv"
     path.write_text(rows, encoding="utf-8")
@@ -257,12 +258,29 @@ class TestThesaurus:
         with pytest.raises(ThesaurusConflict):
             load_thesaurus(path)
 
-    def test_parse_error_carries_line(self, tmp_path):
+    @pytest.mark.parametrize("row", [
+        "خطأ هنا",
+        "ـ\tsyn\tجميل",
+        "جميل\tsyn\tـ",
+        "كلمة اخرى\tsyn\tجميل",
+    ], ids=["one-column", "key-empty-after-normalize",
+            "target-empty-after-normalize", "space-in-key"])
+    def test_parse_error_carries_line(self, tmp_path, row):
         path = tmp_path / "t.tsv"
-        path.write_text("جميل\tant\tقبيح\nخطأ هنا\n", encoding="utf-8")
+        path.write_text(f"جميل\tant\tقبيح\n{row}\n", encoding="utf-8")
         with pytest.raises(LexiconParseError) as err:
             load_thesaurus(path)
-        assert err.value.line == 2
+        assert (err.value.path, err.value.line) == (path, 2)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+        cfg = tmp_path / "halqa.conf"
+        cfg.write_text(f"corpus_dir = {CORPUS_DIR}\nthesaurus = {path}\n",
+                       encoding="utf-8")
+        result = CliRunner().invoke(main, ["ask", "--config", str(cfg),
+                                           "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {path}:2: " in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_round_trip(self, thesaurus, tmp_path):
         path = tmp_path / "round.tsv"

@@ -763,7 +763,7 @@ class TestPersistence:
         path = tmp_path / "index.json"
         save_index(build_index([("a", "x")], lexicons, stemmer), path)
         tampered = path.read_text(encoding="utf-8").replace(
-            f'"format_version": {INDEX_FORMAT_VERSION}', '"format_version": 99')
+            f'"format_version":{INDEX_FORMAT_VERSION}', '"format_version":99')
         assert tampered != path.read_text(encoding="utf-8")
         path.write_text(tampered, encoding="utf-8")
         with pytest.raises(ValueError):
@@ -789,8 +789,23 @@ class TestPersistence:
             path = tmp_path / "index.json"
             save_index(idx, path)
             assert path.read_bytes() == json.dumps(
-                snapshot_payload(idx), ensure_ascii=False).encode("utf-8")
+                snapshot_payload(idx), ensure_ascii=False,
+                separators=(",", ":")).encode("utf-8")
             assert load_index(path) == idx
+
+    def test_snapshot_with_spaces_still_loads(self, lexicons, stemmer,
+                                              tmp_path):
+        # Earlier versions wrote the same format 3 payload with json.dumps's
+        # default ", " and ": " separators; JSON whitespace is not format.
+        idx = build_index_from_dir(CORPUS_DIR, lexicons, stemmer)
+        spaced, compact = tmp_path / "spaced.json", tmp_path / "index.json"
+        spaced.write_text(json.dumps(snapshot_payload(idx), ensure_ascii=False),
+                          encoding="utf-8")
+        assert load_index(spaced) == idx
+        save_index(idx, compact)
+        assert compact.stat().st_size < spaced.stat().st_size
+        assert json.loads(compact.read_text(encoding="utf-8")) == \
+            json.loads(spaced.read_text(encoding="utf-8"))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -803,7 +818,8 @@ class TestPersistence:
         loaded = load_index(path)
         assert loaded == idx
         assert path.read_bytes() == json.dumps(
-            snapshot_payload(idx), ensure_ascii=False).encode("utf-8")
+            snapshot_payload(idx), ensure_ascii=False,
+            separators=(",", ":")).encode("utf-8")
         assert [list(p.terms.items()) for p in loaded.paragraphs] == \
             [list(p.terms.items()) for p in idx.paragraphs]
 
