@@ -9,13 +9,13 @@ from .pipeline import AnswerResult, Engine
 from .question_analysis import (LogicalRep, ParsedQuestion, Provenance,
                                 RepSet, SentenceKind, StemmedThesaurus,
                                 build_representations, parse_question)
-from .retrieval import Index, Query, build_index, document_technique, paragraph_technique
+from .retrieval import Index, build_index, document_technique, paragraph_technique
 from .text_core import Lexicons, normalize, tokenize
 
 __all__ = [
     "Answer", "AnswerResult", "Config", "Engine", "Index", "Lexicons",
     "LightStemmer", "LogicalRep", "ParsedQuestion", "PosTag", "Provenance",
-    "Query", "RepSet", "SentenceKind", "StemmedThesaurus", "Thesaurus",
+    "RepSet", "SentenceKind", "StemmedThesaurus", "Thesaurus",
     "Verdict",
     "build_index", "build_representations", "document_technique",
     "load_config", "load_thesaurus", "normalize", "paragraph_technique",

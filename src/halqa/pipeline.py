@@ -3,6 +3,7 @@ an index built (or loaded) from a corpus directory."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from .question_analysis import (RepSet, StemmedThesaurus,
                                 build_representations, parse_question,
                                 preprocess_special_verb,
                                 retrieval_term_multiset)
-from .retrieval import (Index, Paragraph, Query, build_index_from_dir,
+from .retrieval import (Index, Paragraph, build_index_from_dir,
                         document_technique, load_index, paragraph_technique,
                         save_index)
 from .text_core import Lexicons
@@ -63,7 +64,7 @@ class Engine:
                                      use_thesaurus=self.config.use_thesaurus)
 
     def retrieve(self, reps: RepSet) -> list[Paragraph]:
-        query = Query.from_terms(retrieval_term_multiset(reps, self.stemmer))
+        query = Counter(retrieval_term_multiset(reps, self.stemmer))
         cfg = self.config
         if cfg.technique == "document":
             return document_technique(self.index, query, k_docs=cfg.k_docs,

@@ -1,10 +1,12 @@
 """Corpus indexing and the two paragraph-retrieval techniques.
 
 The index maps each root to the paragraphs and to the documents that hold
-it (its postings). Retrieval scores term at a time: for each query root,
-its query weight times each posting's precomputed weight is added to that
-unit's score. Every other unit shares no root with the query and scores
-0, so the ranking is the one a scan of the whole corpus would give.
+it (its postings); a document is the span of its adjacent paragraphs, and
+a query is the Counter of its roots. Retrieval scores term at a time: for
+each query root, its query weight times each posting's precomputed weight
+is added to that unit's score. Every other unit shares no root with the
+query and scores 0, so the ranking is the one a scan of the whole corpus
+would give.
 
 Paragraph technique: rank the paragraphs corpus-wide with the passage
 formula. Document technique: rank documents, keep the top ones, then rank
@@ -22,8 +24,8 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
-from operator import attrgetter, lt, neg
+from itertools import accumulate, chain, islice, pairwise
+from operator import lt, neg
 from pathlib import Path
 
 from .errors import EmptyCorpus
@@ -52,22 +54,18 @@ class Paragraph:
 
 
 @dataclass(frozen=True)
-class Document:
-    doc_id: str
-    positions: range  # of its paragraphs in the index
-    terms: dict[str, int]  # root -> frequency, summed by Index.documents
-
-
-@dataclass(frozen=True)
 class Index:
     """The paragraphs as the snapshot's four lists, a paragraph's values at
     one position in each, in strictly ascending (doc_id, para_id) order:
     a unit's position is its rank among equal scores. A ``Paragraph`` is
     made only for a position that retrieval returns.
 
-    Everything else is derived on first use: the documents, the postings
-    of paragraphs and of documents (their lengths are the document
-    frequencies), and one root at a time the weights of those postings.
+    A document is the span of its adjacent paragraphs, up to the next
+    document's start; counting documents reads only the starts. Everything
+    else is derived on first use: the documents' summed terms (on the first
+    document-technique question), the postings of paragraphs and of
+    documents (their lengths are the document frequencies), and one root
+    at a time the weights of those postings.
     """
     doc_ids: tuple[str, ...]
     para_ids: tuple[int, ...]
@@ -95,24 +93,23 @@ class Index:
                          self.terms))
 
     @cached_property
-    def documents(self) -> tuple[Document, ...]:
-        # Summed here, not in a cached property per document: over 13,000
-        # documents that takes a third less time and one object less each.
-        documents, end = [], 0
+    def document_starts(self) -> tuple[int, ...]:
+        """Each document's first position, then n_paragraphs: document d is
+        range(starts[d], starts[d + 1])."""
         # Counter keeps first-seen order, and a document's ids are adjacent.
-        for doc_id, n in Counter(self.doc_ids).items():
-            start, end = end, end + n
+        return tuple(accumulate(Counter(self.doc_ids).values(), initial=0))
+
+    @cached_property
+    def document_terms(self) -> tuple[dict[str, int], ...]:
+        summed = []
+        for start, end in pairwise(self.document_starts):
             first, *rest = self.terms[start:end]
             terms = dict(first)  # plain dict sums: Counter's are slower
             for t in rest:
                 for term, tf in t.items():
                     terms[term] = terms.get(term, 0) + tf
-            documents.append(Document(doc_id, range(start, end), terms))
-        return tuple(documents)
-
-    @cached_property
-    def document_terms(self) -> tuple[dict[str, int], ...]:
-        return tuple(map(attrgetter("terms"), self.documents))
+            summed.append(terms)
+        return tuple(summed)
 
     @cached_property
     def paragraph_postings(self) -> Postings:
@@ -142,7 +139,7 @@ class Index:
 
     @property
     def n_documents(self) -> int:
-        return len(self.documents)
+        return len(self.document_starts) - 1
 
 
 def _postings(terms) -> Postings:
@@ -154,23 +151,6 @@ def _postings(terms) -> Postings:
     # Tuples, not lists: the garbage collector stops tracking a tuple of
     # ints, so a large vocabulary adds no work to its full collections.
     return dict(zip(postings, map(tuple, postings.values())))
-
-
-@dataclass(frozen=True)
-class Query:
-    qtf: Counter  # term -> frequency within the query (pre-dedup)
-
-    @classmethod
-    def from_terms(cls, terms: list[str]) -> "Query":
-        return cls(qtf=Counter(terms))
-
-    @property
-    def ql(self) -> int:  # non-stop query length
-        return sum(self.qtf.values())
-
-    @property
-    def max_qf(self) -> int:
-        return max(self.qtf.values(), default=0)
 
 
 def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
@@ -282,16 +262,17 @@ def _w_qt(qtf: int, max_qf: int, n_total: int, n: int) -> float:
 
 
 def _accumulate(terms, norm, postings: Postings, weights: dict[str, array],
-                q: Query, weight, query_weight,
+                q: Counter, weight, query_weight,
                 query_norm: int) -> dict[int, float]:
     """Position -> score of each unit holding a query root: the sum over
-    its query roots, in ``q.qtf`` order, of W_unit * W_q, added term at a
-    time. ``terms`` holds each unit's root -> frequency dict, and ``norm``
-    reduces its frequencies to the unit's length (``sum``: pl; ``max``:
-    max_tf). Weights are kept in ``weights`` per root."""
+    its query roots, in the order of ``q`` (root -> frequency in the
+    query), of W_unit * W_q, added term at a time. ``terms`` holds each
+    unit's root -> frequency dict, and ``norm`` reduces its frequencies to
+    the unit's length (``sum``: pl; ``max``: max_tf). Weights are kept in
+    ``weights`` per root."""
     scores: dict[int, float] = {}
     get = scores.get
-    for root, qtf in q.qtf.items():
+    for root, qtf in q.items():
         if positions := postings.get(root):
             n_total, n = len(terms), len(positions)
             if root not in weights:  # 8 bytes a weight, and no gc tracking
@@ -321,7 +302,7 @@ def _top(scores: dict[int, float], n: int, k: int) -> list[tuple[int, float]]:
     return [(i, scores.get(i, 0.0)) for i in top]
 
 
-def paragraph_scores(idx: Index, q: Query) -> dict[int, float]:
+def paragraph_scores(idx: Index, q: Counter) -> dict[int, float]:
     """Position -> passage similarity of each paragraph holding a query
     root, with W_p = (N/n) log2((tf+1)/pl) and W_q = (N/n) log2((qtf+1)/ql)
     over the index's paragraphs.
@@ -337,18 +318,19 @@ def paragraph_scores(idx: Index, q: Query) -> dict[int, float]:
     often the root repeats: length can outrank a repeated head.
     """
     return _accumulate(idx.terms, sum, idx.paragraph_postings,
-                       idx.paragraph_weights, q, _w_p, _w_p, q.ql)
+                       idx.paragraph_weights, q, _w_p, _w_p, sum(q.values()))
 
 
-def document_scores(idx: Index, q: Query) -> dict[int, float]:
+def document_scores(idx: Index, q: Counter) -> dict[int, float]:
     """Position -> document similarity of each document holding a query
     root, with W_dt = (tf/max_tf) log2(N/n) and
     W_qt = (0.5 + 0.5*qtf/max_qf) log2(N/n), max_qf the query's own."""
     return _accumulate(idx.document_terms, max, idx.document_postings,
-                       idx.document_weights, q, _w_dt, _w_qt, q.max_qf)
+                       idx.document_weights, q, _w_dt, _w_qt,
+                       max(q.values(), default=0))
 
 
-def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[Paragraph]:
+def paragraph_technique(idx: Index, q: Counter, k: int = 5) -> list[Paragraph]:
     """Rank the paragraphs corpus-wide; return the top k.
 
     Only the paragraphs holding a query root are scored, and the ranking
@@ -359,7 +341,7 @@ def paragraph_technique(idx: Index, q: Query, k: int = 5) -> list[Paragraph]:
             for i, s in _top(paragraph_scores(idx, q), idx.n_paragraphs, k)]
 
 
-def document_technique(idx: Index, q: Query, k_docs: int = 5,
+def document_technique(idx: Index, q: Counter, k_docs: int = 5,
                        k_paras: int = 5) -> list[Paragraph]:
     """Rank documents, keep the top k_docs, then rank their paragraphs.
 
@@ -369,7 +351,8 @@ def document_technique(idx: Index, q: Query, k_docs: int = 5,
     doc_id ascending.
     """
     top = _top(document_scores(idx, q), idx.n_documents, k_docs)
-    kept = [i for d, _ in sorted(top) for i in idx.documents[d].positions]
+    starts = idx.document_starts
+    kept = [i for d, _ in sorted(top) for i in range(starts[d], starts[d + 1])]
     retained = Index(*(tuple(map(getattr(idx, name).__getitem__, kept))
                        for name in _COLUMNS))
     return paragraph_technique(retained, q, k_paras)

@@ -1,3 +1,6 @@
+from collections import Counter
+from typing import NamedTuple
+
 import pytest
 
 from halqa.config import Config
@@ -17,6 +20,25 @@ def index_of(paragraphs) -> Index:
     """The index of the given paragraphs, in the order given."""
     return Index(*zip(*((p.doc_id, p.para_id, p.text, p.terms)
                         for p in paragraphs)))
+
+
+class ReferenceDocument(NamedTuple):
+    doc_id: str
+    positions: list[int]  # of its paragraphs in the index
+    terms: Counter  # root -> frequency, summed over its paragraphs
+
+
+def documents_of(idx: Index) -> list[ReferenceDocument]:
+    """The index's documents, grouped from its paragraphs by doc_id, in
+    index order: a reference that reads neither ``Index.document_starts``
+    nor ``Index.document_terms``."""
+    documents = {}
+    for i, p in enumerate(idx.paragraphs):
+        d = documents.setdefault(
+            p.doc_id, ReferenceDocument(p.doc_id, [], Counter()))
+        d.positions.append(i)
+        d.terms.update(p.terms)
+    return list(documents.values())
 
 
 @pytest.fixture(scope="session")

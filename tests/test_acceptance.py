@@ -20,10 +20,10 @@ from halqa.pipeline import Engine
 from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
                                      StemmedThesaurus, build_representations, parse_question,
                                      preprocess_special_verb)
-from halqa.retrieval import (Paragraph, Query, build_index, document_scores,
+from halqa.retrieval import (Paragraph, build_index, document_scores,
                              paragraph_scores)
 
-from conftest import CORPUS_DIR, QUESTIONS, index_of
+from conftest import CORPUS_DIR, QUESTIONS, documents_of, index_of
 from test_retrieval import (oracle_document_score, oracle_passage_score,
                             oracle_stats, random_corpus, random_query)
 
@@ -114,7 +114,7 @@ def test_criterion_3_formula_oracles(lexicons, stemmer):
                 para_counts[(p.doc_id, p.para_id)], q, len(para_counts), df_p)
             ok &= abs(scores.get(i, 0.0) - expected) <= 1e-9
         scores = document_scores(idx, q)
-        for i, d in enumerate(idx.documents):
+        for i, d in enumerate(documents_of(idx)):
             expected = oracle_document_score(
                 doc_counts[d.doc_id], q, len(doc_counts), df_d)
             ok &= abs(scores.get(i, 0.0) - expected) <= 1e-9
@@ -133,7 +133,7 @@ def test_criterion_4_spot_checks():
 
     idx = index(("a", 0, {"x": 3, "y": 7}), ("a", 1, {"x": 1}),
                 ("b", 0, {"y": 2}), ("b", 1, {"z": 1}))
-    q = Query(qtf=Counter({"x": 1}))
+    q = Counter({"x": 1})
     ok = abs(paragraph_scores(idx, q)[0] - (-5.2877)) <= 1e-4
 
     # Document: 4 documents, term in 2, tf=3 at the document maximum.

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from halqa import pipeline, retrieval
+from halqa import pipeline
 from halqa.answer_selection import prepare_sentences
 from halqa.evaluation import load_questions
 from halqa.morphology import LightStemmer
@@ -98,18 +98,21 @@ def test_retrieved_are_the_index_paragraphs(config, technique):
                 positions[c.doc_id, c.para_id], c.score)
 
 
-def test_paragraph_technique_builds_no_document(config, tmp_path,
-                                                monkeypatch):
-    # Documents are derived on first use: loading a snapshot and answering
-    # with the paragraph technique never needs them.
+def test_paragraph_technique_builds_no_document(config, tmp_path):
+    # A document's terms are summed on the first document-technique
+    # question: loading a snapshot and answering with the paragraph
+    # technique never sums them.
     engine = Engine(config)
     save_index(engine.index, tmp_path / "index.json")
-    built = []
-    document = retrieval.Document
-    monkeypatch.setattr(retrieval, "Document",
-                        lambda *args: built.append(args) or document(*args))
     engine.load_index(tmp_path / "index.json")
     for question, _ in load_questions(QUESTIONS):
         engine.answer(question)
-    assert built == []
-    assert load_index(tmp_path / "index.json").n_documents == len(built) == 13
+    assert "document_terms" not in vars(engine.index)
+
+
+def test_counting_documents_derives_only_their_starts(engine, tmp_path):
+    save_index(engine.index, tmp_path / "index.json")
+    idx = load_index(tmp_path / "index.json")
+    assert idx.n_documents == 13
+    derived = set(vars(idx)) - {f.name for f in dataclasses.fields(idx)}
+    assert derived == {"document_starts"}

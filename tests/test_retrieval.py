@@ -8,10 +8,11 @@ import shutil
 import stat
 from collections import Counter
 from dataclasses import fields
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from halqa import retrieval
 from halqa.config import Config
@@ -20,7 +21,7 @@ from halqa.evaluation import load_questions
 from halqa.morphology import LightStemmer
 from halqa.pipeline import Engine
 from halqa.question_analysis import retrieval_term_multiset
-from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
+from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph,
                              _READ_CHUNK, _w_dt, _w_p, _w_qt, build_index,
                              build_index_from_dir, document_scores,
                              document_technique, load_index,
@@ -29,7 +30,7 @@ from halqa.retrieval import (INDEX_FORMAT_VERSION, Index, Paragraph, Query,
 from halqa.text_core import (normalize, remove_stopwords, split_paragraphs,
                              tokenize)
 
-from conftest import CORPUS_DIR, QUESTIONS, index_of
+from conftest import CORPUS_DIR, QUESTIONS, documents_of, index_of
 
 # Synthetic vocabulary of latin terms: they pass the tokenizer untouched,
 # never collide with the stopword list, and are stemmer fixpoints, so
@@ -49,9 +50,9 @@ def random_corpus(rng: random.Random) -> list[tuple[str, str]]:
     return corpus
 
 
-def random_query(rng: random.Random) -> Query:
+def random_query(rng: random.Random) -> Counter:
     terms = rng.choices(VOCAB, k=rng.randint(1, 6))
-    return Query.from_terms(terms)
+    return Counter(terms)
 
 
 def snapshot_payload(idx: Index) -> dict:
@@ -90,9 +91,10 @@ def df(postings):
 def oracle_passage_score(counts, q, n_total, df):
     pl = sum(counts.values())
     score = 0.0
-    for term in set(counts) & set(q.qtf):
+    ql = sum(q.values())
+    for term in set(counts) & set(q):
         weight_p = (n_total / df[term]) * math.log2((counts[term] + 1) / pl)
-        weight_q = (n_total / df[term]) * math.log2((q.qtf[term] + 1) / q.ql)
+        weight_q = (n_total / df[term]) * math.log2((q[term] + 1) / ql)
         score += weight_p * weight_q
     return score
 
@@ -100,20 +102,21 @@ def oracle_passage_score(counts, q, n_total, df):
 def oracle_document_score(counts, q, n_docs, df):
     max_tf = max(counts.values())
     score = 0.0
-    for term in set(counts) & set(q.qtf):
+    max_qf = max(q.values())
+    for term in set(counts) & set(q):
         idf = math.log2(n_docs / df[term])
         score += ((counts[term] / max_tf) * idf
-                  * (0.5 + 0.5 * q.qtf[term] / q.max_qf) * idf)
+                  * (0.5 + 0.5 * q[term] / max_qf) * idf)
     return score
 
 
-def _one_unit(terms, norm, q: Query, query_norm, postings, n_total, weight,
+def _one_unit(terms, norm, q: Counter, query_norm, postings, n_total, weight,
               query_weight) -> float:
-    """One unit's score: the sum over its query roots, in q.qtf order, of
+    """One unit's score: the sum over its query roots, in q's order, of
     W_unit * W_q. Retrieval adds the same products in the same order term
     at a time, so its scores must equal this one to the bit."""
     score = 0.0
-    for term, qtf in q.qtf.items():
+    for term, qtf in q.items():
         tf, n = terms.get(term), len(postings.get(term, ()))
         if tf and n:
             score += (weight(tf, norm, n_total, n)
@@ -121,17 +124,18 @@ def _one_unit(terms, norm, q: Query, query_norm, postings, n_total, weight,
     return score
 
 
-def passage_similarity(p: Paragraph, q: Query, idx: Index) -> float:
-    return _one_unit(p.terms, sum(p.terms.values()), q, q.ql,
+def passage_similarity(p: Paragraph, q: Counter, idx: Index) -> float:
+    return _one_unit(p.terms, sum(p.terms.values()), q, sum(q.values()),
                      idx.paragraph_postings, idx.n_paragraphs, _w_p, _w_p)
 
 
-def document_similarity(d, q: Query, idx: Index) -> float:
-    return _one_unit(d.terms, max(d.terms.values()), q, q.max_qf,
+def document_similarity(d, q: Counter, idx: Index) -> float:
+    """The score of a document of ``documents_of(idx)``."""
+    return _one_unit(d.terms, max(d.terms.values()), q, max(q.values()),
                      idx.document_postings, idx.n_documents, _w_dt, _w_qt)
 
 
-def full_scan_paragraphs(idx: Index, q: Query, k: int):
+def full_scan_paragraphs(idx: Index, q: Counter, k: int):
     """Reference ranking: score every paragraph, sort by score descending,
     then (doc_id, para_id)."""
     scored = sorted(((passage_similarity(p, q, idx), p) for p in idx.paragraphs),
@@ -139,10 +143,10 @@ def full_scan_paragraphs(idx: Index, q: Query, k: int):
     return [((p.doc_id, p.para_id), s) for s, p in scored[:k]]
 
 
-def full_scan_documents(idx: Index, q: Query, k_docs: int, k_paras: int):
+def full_scan_documents(idx: Index, q: Counter, k_docs: int, k_paras: int):
     """Reference document technique: score every document, keep the top
     k_docs, rank their paragraphs by full scan over an index of them."""
-    ranked = sorted(idx.documents,
+    ranked = sorted(documents_of(idx),
                     key=lambda d: (-document_similarity(d, q, idx), d.doc_id))
     kept = sorted(ranked[:k_docs], key=lambda d: d.doc_id)
     retained = index_of(idx.paragraph(i) for d in kept for i in d.positions)
@@ -150,8 +154,9 @@ def full_scan_documents(idx: Index, q: Query, k_docs: int, k_paras: int):
 
 
 # Few words, so that paragraphs share roots, tie and repeat; the query may
-# also hold words no paragraph has.
-_WORDS = VOCAB[:5]
+# also hold words no paragraph has. The stopword drops a paragraph that
+# holds nothing else, and a document whose every paragraph is so.
+_WORDS = [*VOCAB[:5], "في"]
 _corpora = st.lists(
     st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6)
              .map(" ".join), min_size=1, max_size=4).map("\n\n".join),
@@ -390,7 +395,7 @@ class TestFormulaSpotChecks:
 
     def test_passage_formula(self):
         target, idx = self.make_passage_index()
-        q = Query(qtf=Counter({"x": 1}))
+        q = Counter({"x": 1})
         # (4/2)*log2(4/10) * (4/2)*log2(2/1)
         assert passage_similarity(target, q, idx) == \
             pytest.approx(-5.2877124, abs=1e-4)
@@ -399,7 +404,7 @@ class TestFormulaSpotChecks:
         # An index over a subset of paragraphs supplies its own N and n.
         target, idx = self.make_passage_index()
         restricted = index_of((target, idx.paragraph(2)))
-        q = Query(qtf=Counter({"x": 1}))
+        q = Counter({"x": 1})
         got = passage_similarity(target, q, restricted)
         # (2/1)*log2(4/10) * (2/1)*log2(2/1)
         assert got == pytest.approx(4 * math.log2(0.4), abs=1e-9)
@@ -409,31 +414,34 @@ class TestFormulaSpotChecks:
             Paragraph(doc_id=d, para_id=0, text="", terms=Counter(terms))
             for d, terms in [("a", {"x": 3, "y": 1}), ("b", {"x": 1, "y": 1}),
                              ("c", {"y": 1}), ("d", {"y": 1})])
-        doc = idx.documents[0]
+        doc = documents_of(idx)[0]
         assert (max(doc.terms.values()), df(idx.document_postings)) == \
             (3, {"x": 2, "y": 4})
-        q = Query(qtf=Counter({"x": 1}))
+        q = Counter({"x": 1})
         # (3/3)*log2(4/2) * (0.5+0.5)*log2(4/2)
         assert document_similarity(doc, q, idx) == pytest.approx(1.0, abs=1e-4)
 
     def test_disjoint_query_scores_zero(self):
         target, idx = self.make_passage_index()
-        q = Query.from_terms(["missing"])
+        q = Counter(["missing"])
         assert passage_similarity(target, q, idx) == 0.0
+        # ql and max_qf of the empty query are 0; it scores no unit
+        assert paragraph_scores(idx, Counter()) == {}
+        assert document_scores(idx, Counter()) == {}
 
 
 class TestWeightedPostings:
     def test_fixture_scores_equal_the_one_unit_formulas(self, engine):
         idx = engine.index
         for question, _ in load_questions(QUESTIONS):
-            q = Query.from_terms(retrieval_term_multiset(
+            q = Counter(retrieval_term_multiset(
                 engine.analyze(question), engine.stemmer))
             scores = paragraph_scores(idx, q)
             assert scores
             for i, p in enumerate(idx.paragraphs):
                 assert scores.get(i, 0.0) == passage_similarity(p, q, idx)
             scores = document_scores(idx, q)
-            for i, d in enumerate(idx.documents):
+            for i, d in enumerate(documents_of(idx)):
                 assert scores.get(i, 0.0) == document_similarity(d, q, idx)
             for c in paragraph_technique(idx, q, k=idx.n_paragraphs):
                 assert c.score == passage_similarity(c, q, idx)
@@ -454,13 +462,13 @@ class TestWeightedPostings:
         monkeypatch.setattr(retrieval, "_w_p",
                             lambda tf, length, n_total, n:
                             roots.append(n) or weight(tf, length, n_total, n))
-        paragraph_technique(idx, Query.from_terms(["x"]), k=2)
+        paragraph_technique(idx, Counter(["x"]), k=2)
         # three postings of x, then its query weight
         assert roots == [3, 3, 3, 3]
         x = idx.paragraph_weights["x"]
         assert set(idx.paragraph_weights) == {"x"}
         roots.clear()
-        paragraph_technique(idx, Query.from_terms(["x", "y"]), k=2)
+        paragraph_technique(idx, Counter(["x", "y"]), k=2)
         # x's query weight, then y's two postings and its query weight:
         # x's postings keep the weights derived for the first query
         assert roots == [3, 2, 2, 2]
@@ -478,8 +486,8 @@ class TestWeightedPostings:
         full = index_of(paras)
         restricted = index_of(paras[:3])
         for idx in (full, restricted):
-            paragraph_scores(idx, Query.from_terms(["x"]))
-            document_scores(idx, Query.from_terms(["x"]))
+            paragraph_scores(idx, Counter(["x"]))
+            document_scores(idx, Counter(["x"]))
         # N/n: 4/3 over all four paragraphs, 3/2 over the first three
         assert full.paragraph_weights["x"][0] == \
             pytest.approx((4 / 3) * math.log2(4 / 10))
@@ -515,7 +523,7 @@ class TestFormulaOracle:
             idx = build_index(corpus, lexicons, stemmer)
             q = random_query(rng)
             _, doc_counts, _, df_d = oracle_stats(corpus)
-            for d in idx.documents:
+            for d in documents_of(idx):
                 expected = oracle_document_score(
                     doc_counts[d.doc_id], q, len(doc_counts), df_d)
                 assert document_similarity(d, q, idx) == \
@@ -545,7 +553,7 @@ class TestTechniques:
         with pytest.raises(ValueError):
             index_of(paras)
         idx = build_index([("b", "x\n\nx"), ("a", "x")], lexicons, stemmer)
-        q = Query.from_terms(["x"])
+        q = Counter(["x"])
         top = paragraph_technique(idx, q, k=3)
         assert [(c.doc_id, c.para_id) for c in top] == \
             [("a", 0), ("b", 0), ("b", 1)]
@@ -556,7 +564,7 @@ class TestTechniques:
         # W_q = 2 log2(2/3) < 0, so the only paragraph holding a query root
         # ranks below the one that holds none.
         idx = build_index([("a", "x"), ("b", "z z")], lexicons, stemmer)
-        q = Query.from_terms(["x", "y", "w"])
+        q = Counter(["x", "y", "w"])
         top = paragraph_technique(idx, q, k=2)
         assert [(c.doc_id, c.para_id) for c in top] == [("b", 0), ("a", 0)]
         assert top[0].score == 0.0
@@ -574,10 +582,20 @@ class TestTechniques:
     # tied positive scores across documents, fewer positives than k
     @example(corpus=[("a", "t0 t1"), ("b", "t2"), ("c", "t0 t1")],
              terms=["t0"], k=3, k_docs=2)
+    # b holds only stopwords and is dropped; c loses a paragraph
+    @example(corpus=[("a", "t0"), ("b", "في\n\nفي"), ("c", "في\n\nt0 t1")],
+             terms=["t0"], k=3, k_docs=2)
     def test_techniques_match_full_scan(self, lexicons, stemmer, corpus,
                                         terms, k, k_docs):
+        assume(any(w != "في" for _, text in corpus for w in text.split()))
         idx = build_index(corpus, lexicons, stemmer)
-        q = Query.from_terms(terms)
+        documents = documents_of(idx)
+        assert [[*range(start, end)] for start, end in
+                pairwise(idx.document_starts)] == \
+            [d.positions for d in documents]
+        assert [[*t.items()] for t in idx.document_terms] == \
+            [[*d.terms.items()] for d in documents]
+        q = Counter(terms)
         got = [((c.doc_id, c.para_id), c.score)
                for c in paragraph_technique(idx, q, k)]
         assert got == full_scan_paragraphs(idx, q, k)
@@ -600,7 +618,7 @@ class TestTechniques:
     def test_document_technique_restricts_paragraphs(self, lexicons, stemmer):
         corpus = [("a", "x x x\n\nx y"), ("b", "x z"), ("c", "w w")]
         idx = build_index(corpus, lexicons, stemmer)
-        q = Query.from_terms(["x", "y", "z"])
+        q = Counter(["x", "y", "z"])
         top = document_technique(idx, q, k_docs=2, k_paras=10)
         assert {c.doc_id for c in top} <= {"a", "b"}
         assert len(top) == 3  # both docs' paragraphs, c excluded
@@ -610,7 +628,7 @@ class TestTechniques:
         # differ here from the corpus-wide statistics.
         corpus = [("a", "x x x y\n\nx y"), ("b", "x z w"), ("c", "x q\n\nx r")]
         idx = build_index(corpus, lexicons, stemmer)
-        q = Query.from_terms(["x", "y", "z"])
+        q = Counter(["x", "y", "z"])
         top = document_technique(idx, q, k_docs=2, k_paras=10)
         para_counts, _, _, _ = oracle_stats(corpus)
         retained = {k: v for k, v in para_counts.items() if k[0] in {"a", "b"}}
@@ -635,7 +653,7 @@ class TestTechniques:
             ("c", "f g"),
         ]
         idx = build_index(corpus, lexicons, stemmer)
-        q = Query.from_terms(["x", "y", "z"])
+        q = Counter(["x", "y", "z"])
         best_direct = paragraph_technique(idx, q, k=1)[0]
         assert (best_direct.doc_id, best_direct.para_id) == ("a", 0)
         via_docs = document_technique(idx, q, k_docs=1, k_paras=1)[0]
@@ -666,7 +684,7 @@ class TestTechniques:
 
     def test_candidates_are_index_paragraphs(self, lexicons, stemmer):
         idx = build_index([("a", "x\n\ny"), ("b", "x y")], lexicons, stemmer)
-        q = Query.from_terms(["x", "y"])
+        q = Counter(["x", "y"])
         positions = {key: i for i, key in
                      enumerate(zip(idx.doc_ids, idx.para_ids))}
         for top in (paragraph_technique(idx, q, k=3),
@@ -692,7 +710,7 @@ class TestParagraphsOnDemand:
         monkeypatch.setattr(retrieval, "Paragraph", CountingParagraph)
         idx = load_index(path)
         assert made == []
-        q = Query.from_terms(list(idx.terms[0]))
+        q = Counter(list(idx.terms[0]))
         top = paragraph_technique(idx, q, k=3)
         assert made == [(c.doc_id, c.para_id) for c in top]
         assert len(made) == 3
@@ -708,8 +726,8 @@ class TestParagraphsOnDemand:
             (("a", "a", "b"), (0, 1, 0), ("x y x", "z", "y"),
              ({"x": 2, "y": 1}, {"z": 1}, {"y": 1}))
         assert idx.paragraphs == tuple(map(idx.paragraph, range(3)))
-        assert [d.positions for d in idx.documents] == [range(0, 2),
-                                                        range(2, 3)]
+        assert [d.positions for d in documents_of(idx)] == [[0, 1], [2]]
+        assert idx.document_starts == (0, 2, 3)
 
 
 class TestPersistence:
@@ -905,14 +923,3 @@ class TestPersistence:
             load_index(path)
         assert message in str(refused.value)
 
-
-class TestQuery:
-    def test_from_terms(self):
-        q = Query.from_terms(["a", "b", "a"])
-        assert q.qtf == Counter({"a": 2, "b": 1})
-        assert q.ql == 3
-        assert q.max_qf == 2
-
-    def test_empty(self):
-        q = Query.from_terms([])
-        assert q.ql == 0 and q.max_qf == 0

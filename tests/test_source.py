@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import halqa
 from halqa.retrieval import INDEX_FORMAT_VERSION
 
 ROOT = Path(__file__).parent.parent
@@ -111,6 +112,13 @@ def test_no_forwarding_properties(path):
         and isinstance(field := ret.value.value, ast.Attribute)
         and isinstance(field.value, ast.Name) and field.value.id == "self"]
     assert not forwarding, f"{path.name} has forwarding properties: {forwarding}"
+
+
+def test_every_name_in_all_is_an_attribute():
+    # A stale __all__ entry passes test_no_unused_imports, which reads the
+    # list as names used, but breaks `from halqa import *`.
+    missing = [name for name in halqa.__all__ if not hasattr(halqa, name)]
+    assert not missing, f"halqa.__all__ names what halqa lacks: {missing}"
 
 
 def test_readme_states_the_snapshot_format_version():
