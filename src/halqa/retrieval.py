@@ -21,6 +21,7 @@ import math
 import os
 import tempfile
 from array import array
+from codecs import BOM_UTF8
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -162,20 +163,19 @@ def build_index(corpus: list[tuple[str, str]], lexicons: Lexicons,
     Paragraphs with no indexable terms are skipped; a document whose
     paragraphs are all empty is excluded entirely.
     """
-    roots: dict[str, str] = {}  # surface word -> root, for this build only
+    # word -> root for this build; stopwords map to "", which is never counted
+    roots = dict.fromkeys(lexicons.stopwords, "")
     columns = doc_ids, para_ids, texts, terms = [], [], [], []  # of Index
     for doc_id, text in sorted(corpus):
         for para_id, para_text in enumerate(split_paragraphs(text)):
-            content = [w for w in words(normalize(para_text))
-                       if w not in lexicons.stopwords]
-            for word in set(content).difference(roots):
-                roots[word] = stemmer.stem(word)
             # A plain dict, as a loaded index holds: the collector always
             # tracks a Counter, a dict subclass, but never a dict of ints.
             counts = {}
-            for word in content:
-                root = roots[word]
-                counts[root] = counts.get(root, 0) + 1
+            for word in words(normalize(para_text)):
+                if (root := roots.get(word)) is None:
+                    root = roots[word] = stemmer.stem(word)
+                if root:
+                    counts[root] = counts.get(root, 0) + 1
             if counts:
                 doc_ids.append(doc_id)
                 para_ids.append(para_id)
@@ -211,16 +211,18 @@ def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
     try:
         for name in names:
             try:
-                text = _read(name, dir_fd).decode("utf-8-sig")
+                # Not "utf-8-sig": its codec is Python code, and slower.
+                text = _read(name, dir_fd).removeprefix(BOM_UTF8).decode()
             except OSError as exc:  # it names the bare name, or no file
                 raise OSError(exc.errno, exc.strerror,
                               os.path.join(corpus_dir, name)) from None
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{os.path.join(corpus_dir, name)} is not "
                                  f"UTF-8: {exc}") from None
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
             # Path(name).stem: ".txt" has no suffix, so it is its own stem.
-            corpus.append((name[:-4] or name,
-                           text.replace("\r\n", "\n").replace("\r", "\n")))
+            corpus.append((name[:-4] or name, text))
     finally:
         os.close(dir_fd)
     return corpus

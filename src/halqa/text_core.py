@@ -14,15 +14,17 @@ from typing import Iterable, Iterator
 
 from .errors import LexiconParseError
 
-# Alef variants collapsed to bare Alef.
-_ALEF_VARIANTS = re.compile(r"[آأإ]")  # آ أ إ
 _TATWEEL = "ـ"
 
 # Harakat/diacritics are treated like punctuation and never survive
 # tokenization.
 _DIACRITICS = "ً-ْٰ"
 _PUNCT = r"?؟!.,،؛;:\"'«»()\[\]{}<>…‐-―\-_/\\*+=|~`^%$#@&"
-_TOKEN = re.compile(rf"[^\s{_PUNCT}{_DIACRITICS}]+")
+# \s spelled out (str.isspace): with \s, sre cannot make the class one set.
+_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
+           "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
+           "\u205f\u3000")
+_TOKEN = re.compile(f"[^{_SPACES}{_PUNCT}{_DIACRITICS}]+")
 
 _SENTENCE_TERMINATORS = re.compile(r"[.؟!؛]")
 _PARAGRAPH_BREAK = re.compile(r"\n[ \t\r]*\n+")
@@ -36,7 +38,8 @@ def normalize(raw: str) -> str:
 
     Idempotent; every other character passes through unchanged.
     """
-    return _ALEF_VARIANTS.sub("ا", raw).replace(_TATWEEL, "")
+    return raw.replace("أ", "ا").replace("إ", "ا").replace("آ", "ا").replace(
+        _TATWEEL, "")
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,9 @@ class Token:
 
 
 def words(text: str) -> list[str]:
-    """The words of normalized text, in order: maximal runs of
-    non-whitespace, non-punctuation characters. Punctuation (including ؟
-    and ?) and diacritics are dropped."""
+    """The words of normalized text, in order: maximal runs of characters
+    that are not whitespace (``str.isspace``), punctuation or diacritics.
+    Punctuation (including ؟ and ?) and diacritics are dropped."""
     return _TOKEN.findall(text)
 
 

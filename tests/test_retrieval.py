@@ -236,11 +236,20 @@ class TestIndexing:
                 return super().stem(word)
 
         counting = CountingStemmer(stemmer.overrides, stemmer.tag_overrides)
-        corpus = [("a", "فتح محمود الباب\n\nالباب باب t1 t1"),
-                  ("b", "t1 فتح الباب")]
+        assert {"في", "من", "على"} <= lexicons.stopwords
+        corpus = [("a", "t2 الباب في t1 باب t2\n\nفي من على\n\nt1 من فتح t2"),
+                  ("b", "الباب في t3")]
         idx = build_index(corpus, lexicons, counting)
         assert idx == build_index(corpus, lexicons, stemmer)
-        assert calls == {"فتح": 1, "محمود": 1, "الباب": 1, "باب": 1, "t1": 1}
+        # No stopword is stemmed; الباب and باب share the root باب, and
+        # the terms keep first-seen order.
+        assert calls == dict.fromkeys(["t2", "الباب", "t1", "باب", "فتح",
+                                       "t3"], 1)
+        assert [(p.doc_id, p.para_id, list(p.terms.items()))
+                for p in idx.paragraphs] == [
+            ("a", 0, [("t2", 2), ("باب", 2), ("t1", 1)]),
+            ("a", 2, [("t1", 1), ("فتح", 1), ("t2", 1)]),
+            ("b", 0, [("باب", 1), ("t3", 1)])]
         build_index(corpus, lexicons, counting)  # the memo is per build
         assert set(calls.values()) == {2}
 
@@ -290,6 +299,34 @@ class TestReadCorpus:
                  build_index_from_dir(tmp_path, lexicons, stemmer).paragraphs]
         assert texts == ["ليس عمر ولد طويل", "كتب الطالب\nالدرس",
                          "محمد ولد جميل", "فتح محمود الباب"]
+
+    @pytest.mark.parametrize("data", [
+        b"\xef\xbb\xbf",
+        b"\xef\xbb\xbf\xef\xbb\xbf" + "ب".encode(),
+        b"a\xef\xbb\xbf" + "ب".encode(),
+        "محمد\r\nولد\rجميل\r\r\n\n".encode(),
+        "محمد\nولد\u2028جميل\x85\x0c\n".encode(),
+    ], ids=["bom-only", "second-bom", "inner-bom", "cr", "no-cr"])
+    def test_decodes_as_utf_8_sig_in_text_mode(self, tmp_path, data):
+        # A leading BOM is dropped, a later one kept as U+FEFF; CRLF and
+        # lone CR read as LF, and text without CR comes back as decoded.
+        (tmp_path / "a.txt").write_bytes(data)
+        decoded = data.decode("utf-8-sig")
+        expected = decoded.replace("\r\n", "\n").replace("\r", "\n")
+        assert read_corpus(tmp_path) == [("a", expected)]
+
+    def test_invalid_byte_after_a_bom_is_named_as_utf_8_sig_names_it(
+            self, tmp_path):
+        data = b"\xef\xbb\xbfab\xffc"
+        (path := tmp_path / "x.txt").write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as reference:
+            data.decode("utf-8-sig")
+        with pytest.raises(ValueError) as refusal:
+            read_corpus(tmp_path)
+        assert str(refusal.value) == f"{path} is not UTF-8: {reference.value}"
+        assert str(refusal.value) == (
+            f"{path} is not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+            "position 2: invalid start byte")
 
     def test_file_name_order(self, tmp_path):
         # "-" sorts before ".", so a-b.txt comes before a.txt; eval

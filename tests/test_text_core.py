@@ -1,12 +1,54 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from halqa.errors import LexiconParseError
-from halqa.text_core import (Lexicons, detect_negation, normalize,
-                             remove_stopwords, split_paragraphs,
-                             split_sentences, strip_article, tokenize)
+from halqa.text_core import (_DIACRITICS, _PUNCT, _SPACES, Lexicons,
+                             detect_negation, normalize, remove_stopwords,
+                             split_paragraphs, split_sentences,
+                             strip_article, tokenize, words)
 
 ARABIC = st.text(alphabet="اأإآبتثجحخدذرزسشصضطظعغفقكلمنهوية ؟.لم", max_size=40)
+
+ISSPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+# Every whitespace character, each listed punctuation mark and the dashes
+# of _PUNCT's range, the harakat, tatweel, the Alef forms and letters.
+WORD_CHAIN = st.text(alphabet=sorted(
+    {*ISSPACE, *_PUNCT, *map(chr, range(0x2010, 0x2016)),
+     *map(chr, range(0x064B, 0x0653)), "\u0670", "ـ",
+     *"اأإآبتثجحخدذرزسشصضطظعغفقكلمنهويةى"}), max_size=60)
+
+
+def regex_normalize(s):
+    """normalize as a regex substitution, the definition it replaced."""
+    return re.sub("[آأإ]", "ا", s).replace("ـ", "")
+
+
+def regex_words(s):
+    """words with \\s for whitespace, the definition it replaced."""
+    return re.findall(rf"[^\s{_PUNCT}{_DIACRITICS}]+", s)
+
+
+def test_spaces_are_the_characters_isspace_accepts():
+    # Fails when a Unicode update changes str.isspace, and so \s, instead
+    # of leaving words to drift from it.
+    assert sorted(_SPACES) == ISSPACE
+
+
+def test_word_chain_equals_the_regex_definitions_on_every_code_point():
+    # Each code point on its own between spaces: a word, or no word.
+    spaced = " ".join(map(chr, range(sys.maxunicode + 1)))
+    assert normalize(spaced) == regex_normalize(spaced)
+    assert words(spaced) == regex_words(spaced)
+
+
+@given(WORD_CHAIN)
+def test_word_chain_equals_the_regex_definitions(s):
+    assert normalize(s) == regex_normalize(s)
+    assert words(s) == regex_words(s)
+    assert words(normalize(s)) == regex_words(regex_normalize(s))
 
 
 @pytest.mark.parametrize("raw,expected", [
