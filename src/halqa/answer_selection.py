@@ -16,10 +16,9 @@ import enum
 from dataclasses import dataclass
 
 from .morphology import LightStemmer
-from .question_analysis import LogicalRep, Provenance, RepSet
+from .question_analysis import LogicalRep, RepSet
 from .retrieval import Paragraph
-from .text_core import (Lexicons, normalize, remove_stopwords, split_sentences,
-                        strip_article, tokenize)
+from .text_core import Lexicons, normalize, split_sentences, strip_article, words
 
 
 class Answer(enum.Enum):
@@ -28,19 +27,15 @@ class Answer(enum.Enum):
     UNKNOWN = "unknown"
 
 
-_PROVENANCE_ORDER = {Provenance.BASE: 0, Provenance.SYNONYM: 1,
-                     Provenance.ANTONYM: 2}
-
-
 @dataclass(frozen=True)
 class Sentence:
-    """A sentence prepared for matching: its tokens, its stemmed content
-    tokens (stopwords removed, positions re-indexed) and its polarity."""
+    """A sentence prepared for matching: its words, its stemmed content
+    words (stopwords removed, positions re-indexed) and its polarity."""
     text: str
     doc_id: str
     para_id: int
     sentence_index: int
-    surface: tuple[str, ...]          # all tokens, article-stripped
+    surface: tuple[str, ...]          # all words, article-stripped
     content_surface: tuple[str, ...]  # stopwords removed, article-stripped
     content_roots: tuple[str, ...]    # stemmed, aligned with content_surface
     negated: bool                     # holds a negation particle
@@ -55,7 +50,7 @@ class CandidateSentence:
 
     def describe(self) -> dict:
         """Where the sentence is, which representation it matched and how
-        tightly: one entry of a verdict's trace."""
+        tightly, as a JSON record."""
         return {"doc_id": self.sentence.doc_id,
                 "para_id": self.sentence.para_id,
                 "sentence_index": self.sentence.sentence_index,
@@ -68,7 +63,7 @@ class CandidateSentence:
 class Verdict:
     answer: Answer
     supporting: CandidateSentence | None
-    trace: tuple[dict, ...] = ()
+    trace: tuple[CandidateSentence, ...] = ()  # every candidate, ranked
 
     def to_record(self) -> dict:
         rec = {"answer": self.answer.value}
@@ -85,17 +80,15 @@ def prepare_sentences(paragraph: Paragraph, lexicons: Lexicons,
     its ids and text, the lexicons and the stemmer, so they may be kept."""
     sentences = []
     for i, text in enumerate(split_sentences(paragraph.text)):
-        tokens = tokenize(normalize(text))
-        content = remove_stopwords(tokens, lexicons)
+        all_words = words(normalize(text))
+        content = [w for w in all_words if w not in lexicons.stopwords]
         sentences.append(Sentence(
             text=text, doc_id=paragraph.doc_id, para_id=paragraph.para_id,
             sentence_index=i,
-            surface=tuple(strip_article(t.surface, lexicons) for t in tokens),
-            content_surface=tuple(strip_article(t.surface, lexicons)
-                                  for t in content),
-            content_roots=tuple(stemmer.stem(t.surface) for t in content),
-            negated=any(t.surface in lexicons.negation_particles
-                        for t in tokens),
+            surface=tuple(strip_article(w, lexicons) for w in all_words),
+            content_surface=tuple(strip_article(w, lexicons) for w in content),
+            content_roots=tuple(stemmer.stem(w) for w in content),
+            negated=any(w in lexicons.negation_particles for w in all_words),
         ))
     return tuple(sentences)
 
@@ -150,31 +143,28 @@ def select_answer(prepared: list[tuple[Sentence, ...]], repset: RepSet,
 
     prepared: each retrieved paragraph's ``prepare_sentences``, in
     retrieval order. Minimum span wins; ties break by retrieval order,
-    then sentence index, then provenance BASE > SYNONYM > ANTONYM.
+    then sentence index, then provenance BASE > SYNONYM > ANTONYM. That is
+    the order candidates are found in (``build_representations`` makes the
+    reps in it), so one stable sort by span ranks them.
     """
-    def ranked(lookback: bool) -> list[CandidateSentence]:
-        # Keys are unique (one rep per provenance): gathering order is free.
+    def ranked(lookback: bool) -> tuple[CandidateSentence, ...]:
         found = []
-        for para_order, sentences in enumerate(prepared):
+        for sentences in prepared:
             pairs = (zip(sentences[1:], sentences) if lookback
                      else ((s, None) for s in sentences))
             for sentence, previous in pairs:
                 for rep in repset.reps:
                     cand = match_and_rank(sentence, rep, previous)
                     if cand is not None:
-                        key = (cand.span_rank, para_order,
-                               sentence.sentence_index,
-                               _PROVENANCE_ORDER[rep.provenance])
-                        found.append((key, cand))
-        return [c for _, c in sorted(found, key=lambda kc: kc[0])]
+                        found.append(cand)
+        return tuple(sorted(found, key=lambda c: c.span_rank))
 
     candidates = ranked(lookback=False)
     if not candidates and use_advanced_search:
         candidates = ranked(lookback=True)
-    trace = tuple(c.describe() for c in candidates)
     if not candidates:
-        return Verdict(answer=Answer.UNKNOWN, supporting=None, trace=trace)
+        return Verdict(answer=Answer.UNKNOWN, supporting=None)
     best = candidates[0]
     return Verdict(answer=resolve_polarity(best.matched_rep.negated,
                                            best.sentence.negated),
-                   supporting=best, trace=trace)
+                   supporting=best, trace=candidates)

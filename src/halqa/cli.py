@@ -105,7 +105,7 @@ def cmd_ask(config_file, index_path, verbose, as_json, question, **overrides):
     if as_json:
         record = result.verdict.to_record()
         if verbose:
-            record["trace"] = list(result.verdict.trace)
+            record["trace"] = [c.describe() for c in result.verdict.trace]
             record["retrieved"] = [
                 {"doc_id": c.doc_id, "para_id": c.para_id, "score": c.score}
                 for c in result.retrieved
@@ -130,11 +130,11 @@ def cmd_ask(config_file, index_path, verbose, as_json, question, **overrides):
                        f"{list(rep.remaining_roots)})")
         for c in result.retrieved:
             click.echo(f"paragraph {c.doc_id}#{c.para_id}: score={c.score:.6f}")
-        for t in result.verdict.trace:
-            click.echo(f"candidate {t['doc_id']}#{t['para_id']}"
-                       f"s{t['sentence_index']} [{t['provenance']}] "
-                       f"span={t['span_rank']}"
-                       + (" (advanced)" if t["via_advanced_search"] else ""))
+        for c in result.verdict.trace:
+            s = c.sentence
+            click.echo(f"candidate {s.doc_id}#{s.para_id}s{s.sentence_index} "
+                       f"[{c.matched_rep.provenance.value}] span={c.span_rank}"
+                       + (" (advanced)" if c.via_advanced_search else ""))
 
 
 @main.command("eval")

@@ -51,12 +51,8 @@ class LogicalRep:
 
 @dataclass(frozen=True)
 class RepSet:
-    reps: tuple[LogicalRep, ...]
+    reps: tuple[LogicalRep, ...]  # BASE, then SYNONYM, then ANTONYM, if any
     source: ParsedQuestion
-
-    @property
-    def base(self) -> LogicalRep:
-        return next(r for r in self.reps if r.provenance is Provenance.BASE)
 
 
 def parse_question(raw: str, lexicons: Lexicons,
@@ -187,7 +183,7 @@ def build_representations(q: ParsedQuestion, thesaurus: StemmedThesaurus,
 def retrieval_term_multiset(rs: RepSet, stemmer: LightStemmer) -> list[str]:
     """Pre-dedup query roots: head root, base relation roots, remaining
     roots. Synonym/antonym roots stay out of the retrieval query."""
-    base = rs.base
+    base = rs.reps[0]  # build_representations makes the BASE rep first
     return ([stemmer.stem(base.head)]
             + sorted(base.relation_roots)
             + list(base.remaining_roots))

@@ -382,14 +382,22 @@ def save_index(idx: Index, path: Path | str) -> None:
 
 
 def load_index(path: Path | str) -> Index:
-    """Read a snapshot written by save_index. Raises ValueError, naming what
-    is at fault, for any other format version, a payload of the wrong shape
-    or nested too deeply to parse, or paragraphs out of order. Each list is
-    checked as a whole, by exact type: a bool is not an int."""
+    """Read a snapshot written by save_index. Raises ValueError, naming the
+    file and what is at fault, for a file that is not UTF-8 JSON or is
+    nested too deeply to parse, any other format version, a payload of the
+    wrong shape, a doc id or text that cannot be printed (a lone surrogate)
+    or paragraphs out of order. Each list is checked as a whole, by exact
+    type: a bool is not an int."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return _index_of(json.loads(Path(path).read_text(encoding="utf-8")))
     except RecursionError:
-        raise ValueError("index snapshot is nested too deeply") from None
+        raise ValueError(f"{path}: index snapshot is nested too deeply") from None
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _index_of(payload) -> Index:
+    """The index of a decoded snapshot; see ``load_index``."""
     if not isinstance(payload, dict):
         raise ValueError("index snapshot is not a JSON object")
     if (version := payload.get("format_version")) != INDEX_FORMAT_VERSION:
@@ -409,6 +417,12 @@ def load_index(path: Path | str) -> Index:
     for name, kind in _COLUMNS.items():
         if {*map(type, columns[name])} != {kind}:
             raise refusal(name, lambda v: type(v) is not kind)
+    for name in ("doc_ids", "texts"):  # printed, so each must encode
+        try:
+            "".join(columns[name]).encode()
+        except UnicodeEncodeError:  # only a lone surrogate fails
+            raise refusal(name, lambda v: any(
+                "\ud800" <= c <= "\udfff" for c in v)) from None
     counts = [*chain.from_iterable(map(dict.values, terms := columns["terms"]))]
     if not all(terms) or {*map(type, counts)} != {int} or min(counts) < 1:
         raise refusal("terms", lambda t: not t or any(

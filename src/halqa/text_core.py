@@ -8,6 +8,7 @@ frozen after load.
 from __future__ import annotations
 
 import re
+from codecs import BOM_UTF8
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -98,9 +99,16 @@ class Lexicons:
 def read_rows(path: Path | str) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, row) for each row of a UTF-8 data file,
     which may begin with a byte order mark: a line with its # comment and
-    surrounding whitespace removed, blank rows skipped."""
-    for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    surrounding whitespace removed, blank rows skipped. LexiconParseError
+    names the file and line of a byte that is not UTF-8."""
+    data = Path(path).read_bytes().removeprefix(BOM_UTF8)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        # The bad byte's line: one more than the line breaks before it.
+        line = len((data[:exc.start].decode() + "x").splitlines())
+        raise LexiconParseError(f"not UTF-8: {exc}", path, line) from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         if row := line.split("#", 1)[0].strip():
             yield lineno, row
 

@@ -237,7 +237,7 @@ class TestSelectAnswer:
         verdict = select(paragraphs, rs, lexicons, stemmer)
         assert not verdict.supporting.via_advanced_search
         assert verdict.supporting.sentence.doc_id == "e"
-        assert all(not step["via_advanced_search"] for step in verdict.trace)
+        assert all(not c.via_advanced_search for c in verdict.trace)
 
     def test_tighter_lookback_in_later_paragraph_wins(self, lexicons,
                                                       stemmer, thesaurus):
@@ -248,8 +248,8 @@ class TestSelectAnswer:
             para("قذف محمود الكرة باتجاه النافذة. فتحطمت", "b"),
         ]
         verdict = select(paragraphs, rs, lexicons, stemmer)
-        assert [(step["doc_id"], step["span_rank"], step["via_advanced_search"])
-                for step in verdict.trace] == [("b", 0, True), ("a", 2, True)]
+        assert [(c.sentence.doc_id, c.span_rank, c.via_advanced_search)
+                for c in verdict.trace] == [("b", 0, True), ("a", 2, True)]
         assert verdict.supporting.sentence.doc_id == "b"
         assert verdict.answer is Answer.YES
 
@@ -266,5 +266,5 @@ class TestSelectAnswer:
         verdict = select(
             [para("محمد ولد طويل جميل. محمد جميل")],
             rs, lexicons, stemmer)
-        spans = [step["span_rank"] for step in verdict.trace]
+        spans = [c.span_rank for c in verdict.trace]
         assert spans == sorted(spans)

@@ -166,6 +166,24 @@ class TestAskCommand:
         assert "parsed: kind=N head=محمد" in result.output
         assert "rep[base]:" in result.output
 
+    def test_verbose_text_record(self, runner):
+        result = runner.invoke(main, ["ask", "--corpus", str(CORPUS_DIR),
+                                      "--verbose", "هل نادية التي كسرت الزجاج ؟"])
+        assert result.exit_code == 0, result.output
+        assert result.output == (
+            "yes\n"
+            "supporting: فتحطمت [d11_nadia#0]\n"
+            "parsed: kind=N head=نادية relation=كسرت remaining=['زجاج'] "
+            "negated=False\n"
+            "rep[base]: N(نادية, ['كسر'], ['زجاج'])\n"
+            "rep[synonym]: N(نادية, ['حطم'], ['زجاج'])\n"
+            "paragraph d11_nadia#0: score=511.087925\n"
+            "paragraph d03_samira#0: score=408.870340\n"
+            "paragraph d11_nadia#1: score=37.725469\n"
+            "paragraph d01_muhammad#0: score=0.000000\n"
+            "paragraph d01_muhammad#1: score=0.000000\n"
+            "candidate d11_nadia#0s1 [synonym] span=0 (advanced)\n")
+
     def test_ask_from_snapshot(self, runner, small_corpus, tmp_path):
         snap = tmp_path / "snap.json"
         assert runner.invoke(main, ["index", "--corpus", str(small_corpus),
@@ -176,6 +194,8 @@ class TestAskCommand:
         assert result.output.splitlines()[0] == "yes"
 
     @pytest.mark.parametrize("content", [
+        "nope",
+        "\udcff",  # written as the byte 0xff: not UTF-8
         "[1, 2]",
         '{"format_version": 1, "paragraphs": []}',
         # version 2 kept one record per paragraph
@@ -201,14 +221,19 @@ class TestAskCommand:
                     "doc_ids": ["d1"], "para_ids": [0],
                     "texts": ["محمد ولد جميل"],
                     "terms": [{"محمد": 1, "ولد": True, "جميل": 1}]}),
+        # a lone surrogate, which loads but cannot be printed
+        json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                    "doc_ids": ["d1"], "para_ids": [0],
+                    "texts": ["\ud800 محمد جميل."],
+                    "terms": [{"محمد": 1, "جميل": 1}]}),
     ])
     def test_bad_snapshot_exits_2(self, runner, content, tmp_path):
         snap = tmp_path / "snap.json"
-        snap.write_text(content, encoding="utf-8")
+        snap.write_bytes(content.encode(errors="surrogateescape"))
         result = runner.invoke(main, ["ask", "--index", str(snap),
                                       "هل محمد ولد جميل ؟"])
         assert result.exit_code == 2, result.output
-        assert "error:" in result.output
+        assert result.output.startswith(f"error: {snap}: ")
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         # Only a snapshot of another version is refused for its version.
@@ -480,6 +505,44 @@ class TestConfigFile:
                                       "هل محمد ولد جميل ؟"])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[0] == "yes"
+
+    # A byte that is not UTF-8 on the second line, after a byte order mark.
+    NOT_UTF_8 = b"\xef\xbb\xbf# first line\n\xff\xfe\n"
+
+    @pytest.mark.parametrize("key", ["stopwords", "negation",
+                                     "article_exceptions", "stem_overrides",
+                                     "thesaurus"])
+    def test_data_file_not_utf_8_is_named(self, runner, small_corpus,
+                                          tmp_path, key):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(self.NOT_UTF_8)
+        cfg = tmp_path / "halqa.cfg"
+        cfg.write_text(f"{key} = {bad}\ncorpus_dir = {small_corpus}\n",
+                       encoding="utf-8")
+        result = runner.invoke(main, ["ask", "--config", str(cfg),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {bad}:2: not UTF-8: ")
+        assert isinstance(result.exception, SystemExit)
+
+    def test_config_not_utf_8_is_named(self, runner, tmp_path):
+        cfg = tmp_path / "halqa.cfg"
+        cfg.write_bytes(self.NOT_UTF_8)
+        result = runner.invoke(main, ["ask", "--config", str(cfg),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {cfg}:2: not UTF-8: ")
+        assert isinstance(result.exception, SystemExit)
+
+    def test_questions_not_utf_8_are_named(self, runner, small_corpus,
+                                           tmp_path):
+        questions = tmp_path / "q.tsv"
+        questions.write_bytes(self.NOT_UTF_8)
+        result = runner.invoke(main, ["eval", "--corpus", str(small_corpus),
+                                      str(questions)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {questions}:2: not UTF-8: ")
+        assert isinstance(result.exception, SystemExit)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

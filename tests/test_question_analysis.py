@@ -204,6 +204,14 @@ class TestRepSetInvariants:
             (Provenance.SYNONYM, True), (Provenance.ANTONYM, False),
         }
 
+    def test_reps_are_made_base_synonym_antonym(self, lexicons, stemmer,
+                                                thesaurus):
+        # Answer selection breaks its last ties by this order.
+        rs = analyze("هل تكثر الأماكن السياحية في الأردن ؟",
+                     lexicons, stemmer, thesaurus)
+        assert [r.provenance for r in rs.reps] == [
+            Provenance.BASE, Provenance.SYNONYM, Provenance.ANTONYM]
+
     def test_thesaurus_disabled(self, lexicons, stemmer, thesaurus):
         rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus,
                      use_thesaurus=False)

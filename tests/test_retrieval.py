@@ -948,9 +948,14 @@ class TestPersistence:
         ({"doc_ids": ["b", "a"]}, "not in strictly ascending (doc_id, "
                                   "para_id) order at a#0"),
         ({"format_version": 2}, "rebuild the snapshot with `halqa index`"),
+        ({"texts": ["x", "\ud800y"]}, "texts[1] (doc_id 'b') is malformed: "
+                                      "'\\ud800y'"),
+        ({"doc_ids": ["a", "b\udfff"]}, "doc_ids[1] (doc_id 'b\\udfff') is "
+                                        "malformed: 'b\\udfff'"),
     ], ids=["unequal-lengths", "missing-field", "not-a-list", "bool-para-id",
             "int-doc-id", "bool-count", "zero-count", "empty-terms",
-            "duplicate", "out-of-order", "version-2"])
+            "duplicate", "out-of-order", "version-2", "surrogate-text",
+            "surrogate-doc-id"])
     def test_refusal_names_the_fault(self, change, message, tmp_path):
         path = tmp_path / "index.json"
         payload = {k: v for k, v in {**self.TWO, **change}.items()
@@ -958,5 +963,6 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError) as refused:
             load_index(path)
+        assert str(refused.value).startswith(f"{path}: ")
         assert message in str(refused.value)
 

@@ -2,13 +2,13 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from halqa.errors import LexiconParseError
 from halqa.text_core import (_DIACRITICS, _PUNCT, _SPACES, Lexicons,
-                             detect_negation, normalize, remove_stopwords,
-                             split_paragraphs, split_sentences,
-                             strip_article, tokenize, words)
+                             detect_negation, normalize, read_rows,
+                             remove_stopwords, split_paragraphs,
+                             split_sentences, strip_article, tokenize, words)
 
 ARABIC = st.text(alphabet="اأإآبتثجحخدذرزسشصضطظعغفقكلمنهوية ؟.لم", max_size=40)
 
@@ -168,3 +168,33 @@ def test_wordlist_loading(tmp_path):
     path.write_text("# comment\nأحمد\n\nفي # inline\n", encoding="utf-8")
     from halqa.text_core import load_wordlist
     assert load_wordlist(path) == {"احمد", "في"}
+
+
+def text_mode_rows(path):
+    """read_rows through a text-mode read, the definition it replaced."""
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8-sig").splitlines(), 1):
+        if row := line.split("#", 1)[0].strip():
+            yield lineno, row
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.sampled_from(
+    ["\ufeff", "\r", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", " ",
+     "\t", "#", "ا", "ب"]), max_size=30).map("".join))
+def test_rows_are_those_of_a_text_mode_read(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("rows") / "rows.txt"
+    path.write_bytes(text.encode())
+    assert list(read_rows(path)) == list(text_mode_rows(path))
+
+
+@pytest.mark.parametrize("before, line", [
+    (b"", 1), (b"x", 1), (b"x\n", 2), (b"x\n\n# c\n", 4), (b"x\r\ny\r\n", 3),
+    (b"x\ry", 2), ("x\u2028".encode(), 2), (b"\xef\xbb\xbfx\ny", 2)])
+def test_undecodable_byte_is_named_with_its_line(tmp_path, before, line):
+    path = tmp_path / "rows.txt"
+    path.write_bytes(before + b"\xff\n")
+    with pytest.raises(LexiconParseError) as refused:
+        list(read_rows(path))
+    assert refused.value.line == line
+    assert str(refused.value).startswith(f"{path}:{line}: not UTF-8: ")
