@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 
 from .errors import MalformedQuestion
 from .morphology import LightStemmer, PosTag, Thesaurus
-from .text_core import (INTERROGATIVE, Lexicons, Token, detect_negation,
-                        normalize, remove_stopwords, strip_article, tokenize)
+from .text_core import (INTERROGATIVE, Lexicons, normalize, strip_article,
+                        words)
 
 
 class SentenceKind(enum.Enum):
@@ -57,28 +57,31 @@ class RepSet:
 
 def parse_question(raw: str, lexicons: Lexicons,
                    tagger: LightStemmer) -> ParsedQuestion:
-    """Parse a هل-question; raise MalformedQuestion when it has no هل,
-    no head or no relation, or when a content word is a bare article."""
-    tokens = tokenize(normalize(raw))
-    if not tokens or tokens[0].surface != INTERROGATIVE:
+    """Parse a هل-question; raise MalformedQuestion when it is not UTF-8,
+    has no هل, no head or no relation, or when a content word is a bare
+    article."""
+    try:
+        raw.encode()
+    except UnicodeEncodeError:  # a lone surrogate: an argument byte not UTF-8
+        raise MalformedQuestion("question is not UTF-8") from None
+    ws = words(normalize(raw))
+    if not ws or ws[0] != INTERROGATIVE:
         raise MalformedQuestion("question must start with هل")
-    content = remove_stopwords(tokens[1:], lexicons)
-    negated, content_no_neg = detect_negation(content, lexicons)
-    if not content_no_neg:
+    content = [w for w in ws[1:] if w not in lexicons.stopwords]
+    kept = [i for i, w in enumerate(content)
+            if w not in lexicons.negation_particles]
+    if not kept:
         raise MalformedQuestion("question has no content words")
-    if any(not strip_article(t.surface, lexicons) for t in content_no_neg):
+    if any(not strip_article(content[i], lexicons) for i in kept):
         raise MalformedQuestion("question has a bare article (ال) as a word")
 
-    # Preceding-token lookup keeps negation particles visible so the
-    # verb-governor heuristic (e.g. لم يفتح) still fires.
-    preceding = {t.position: p.surface
-                 for p, t in zip(content, content[1:])}
+    def is_noun(i: int) -> bool:
+        # The preceding word may be a particle, so لم يفتح tags يفتح a verb.
+        return tagger.tag(content[i],
+                          content[i - 1] if i else None) is PosTag.NOUN
 
-    def is_noun(t: Token) -> bool:
-        return tagger.tag(t.surface, preceding.get(t.position)) is PosTag.NOUN
-
-    first, *rest = content_no_neg
-    nouns = [t for t in rest if is_noun(t)]
+    first, *rest = kept
+    nouns = [i for i in rest if is_noun(i)]
     if not is_noun(first):
         # The subject is the first noun after the verb.
         if not nouns:
@@ -87,19 +90,19 @@ def parse_question(raw: str, lexicons: Lexicons,
     else:
         # The comment is the last noun without the definite article.
         kind, head = SentenceKind.NOMINAL, first
-        relation = next((t for t in reversed(nouns)
-                         if strip_article(t.surface, lexicons) == t.surface),
+        relation = next((i for i in reversed(nouns)
+                         if strip_article(content[i], lexicons) == content[i]),
                         None)
         if relation is None:
             raise MalformedQuestion(
                 "nominal question has no article-free comment noun")
     return ParsedQuestion(
         kind=kind,
-        head=strip_article(head.surface, lexicons),
-        relation=relation.surface,
-        remaining=tuple(strip_article(t.surface, lexicons)
-                        for t in rest if t not in (head, relation)),
-        negated=negated,
+        head=strip_article(content[head], lexicons),
+        relation=content[relation],
+        remaining=tuple(strip_article(content[i], lexicons)
+                        for i in rest if i not in (head, relation)),
+        negated=len(kept) < len(content),
     )
 
 

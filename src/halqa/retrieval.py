@@ -190,10 +190,10 @@ def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
     """The (doc_id, text) pair of every entry of a directory whose name ends
     in .txt, in name order; the stem of the name is the document id.
 
-    A file is UTF-8 and may begin with a byte order mark; ValueError names
-    one that is not. CRLF and lone CR line ends read as LF, as in text mode.
-    OSError names the full path of an entry that cannot be read, such as a
-    directory or a dangling link.
+    A file and its name are UTF-8, and the file may begin with a byte order
+    mark; ValueError names a file or a name that is not. CRLF and lone CR
+    line ends read as LF, as in text mode. OSError names the full path of
+    an entry that cannot be read, such as a directory or a dangling link.
     """
     if corpus_dir is None:
         raise EmptyCorpus("no corpus directory configured")
@@ -206,6 +206,12 @@ def read_corpus(corpus_dir: Path | str | None) -> list[tuple[str, str]]:
         names = []
     if not names:
         raise EmptyCorpus(f"no .txt files in {corpus_dir}")
+    try:  # a name is a doc id, printed, so each must encode
+        "".join(names).encode()
+    except UnicodeEncodeError:  # a byte that is not UTF-8 reads as a surrogate
+        bad = next(n for n in names if any("\ud800" <= c <= "\udfff" for c in n))
+        raise ValueError(f"file name {os.fsencode(corpus_dir / bad)!r} is not "
+                         "UTF-8") from None
     corpus = []
     dir_fd = os.open(corpus_dir, os.O_RDONLY)
     try:

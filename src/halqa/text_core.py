@@ -1,5 +1,5 @@
-"""Arabic-aware text primitives: normalization, tokenization, lexicons,
-paragraph/sentence splitting and negation-particle detection.
+"""Arabic-aware text primitives: normalization, words, lexicons and
+paragraph/sentence splitting.
 
 Everything here is a pure function over immutable inputs; ``Lexicons`` is
 frozen after load.
@@ -134,18 +134,6 @@ def strip_article(word: str, lex: Lexicons) -> str:
     if word.startswith(ARTICLE) and word not in lex.article_exceptions:
         return word[len(ARTICLE):]
     return word
-
-
-def detect_negation(tokens: Iterable[Token], lex: Lexicons) -> tuple[bool, list[Token]]:
-    """Report whether any token is a negation particle and drop them all."""
-    kept = []
-    negated = False
-    for t in tokens:
-        if t.surface in lex.negation_particles:
-            negated = True
-        else:
-            kept.append(t)
-    return negated, kept
 
 
 def split_paragraphs(document: str) -> list[str]:

@@ -6,6 +6,9 @@ import pytest
 from halqa.config import Config
 from halqa.morphology import LightStemmer, load_thesaurus
 from halqa.pipeline import Engine
+from halqa.question_analysis import (RepSet, StemmedThesaurus,
+                                     build_representations, parse_question,
+                                     preprocess_special_verb)
 from halqa.retrieval import Index
 from halqa.text_core import Lexicons, load_wordlist
 
@@ -14,6 +17,17 @@ from pathlib import Path
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_DIR = FIXTURES / "corpus"
 QUESTIONS = FIXTURES / "questions.tsv"
+
+
+def analyze(question, lexicons, stemmer, thesaurus,
+            use_thesaurus=True) -> RepSet:
+    """The representations of a question, as ``Engine.analyze`` makes
+    them: parse, rewrite a special verb, expand with the thesaurus."""
+    parsed = preprocess_special_verb(
+        parse_question(question, lexicons, stemmer), stemmer)
+    return build_representations(parsed,
+                                 StemmedThesaurus.build(thesaurus, stemmer),
+                                 stemmer, use_thesaurus=use_thesaurus)
 
 
 def index_of(paragraphs) -> Index:

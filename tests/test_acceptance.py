@@ -17,13 +17,12 @@ from halqa.cli import main as cli_main
 from halqa.config import Config
 from halqa.evaluation import evaluate, load_questions
 from halqa.pipeline import Engine
-from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
-                                     StemmedThesaurus, build_representations, parse_question,
-                                     preprocess_special_verb)
+from halqa.question_analysis import Provenance, SentenceKind, LogicalRep
 from halqa.retrieval import (Paragraph, build_index, document_scores,
                              paragraph_scores)
 
-from conftest import CORPUS_DIR, QUESTIONS, documents_of, index_of
+from conftest import (CORPUS_DIR, QUESTIONS, analyze, documents_of,
+                      index_of)
 from test_retrieval import (oracle_document_score, oracle_passage_score,
                             oracle_stats, random_corpus, random_query)
 
@@ -49,11 +48,8 @@ def test_criterion_2_representation_goldens(lexicons, stemmer, thesaurus):
     start = time.perf_counter()
 
     def reps(question):
-        parsed = preprocess_special_verb(
-            parse_question(question, lexicons, stemmer), stemmer)
-        rs = build_representations(
-            parsed, StemmedThesaurus.build(thesaurus, stemmer), stemmer)
-        return {r.provenance: r for r in rs.reps}
+        return {r.provenance: r
+                for r in analyze(question, lexicons, stemmer, thesaurus).reps}
 
     ok = True
 

@@ -5,10 +5,10 @@ import pytest
 from halqa.answer_selection import (Answer, match_and_rank,
                                     prepare_sentences, resolve_polarity,
                                     select_answer)
-from halqa.question_analysis import (Provenance, SentenceKind, LogicalRep,
-                                     StemmedThesaurus, build_representations, parse_question,
-                                     preprocess_special_verb)
+from halqa.question_analysis import Provenance, SentenceKind, LogicalRep
 from halqa.retrieval import Paragraph
+
+from conftest import analyze
 
 
 def para(text, doc_id="d", para_id=0):
@@ -28,13 +28,6 @@ def rep_of(head, relation_roots, remaining=(), negated=False,
 def select(paragraphs, repset, lexicons, stemmer, **options):
     prepared = [prepare_sentences(p, lexicons, stemmer) for p in paragraphs]
     return select_answer(prepared, repset, **options)
-
-
-def repset_for(question, lexicons, stemmer, thesaurus):
-    parsed = preprocess_special_verb(
-        parse_question(question, lexicons, stemmer), stemmer)
-    return build_representations(
-        parsed, StemmedThesaurus.build(thesaurus, stemmer), stemmer)
 
 
 class TestPolarity:
@@ -147,21 +140,21 @@ class TestAdvancedSearch:
 
 class TestSelectAnswer:
     def test_affirmative_yes(self, lexicons, stemmer, thesaurus):
-        rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
         verdict = select([para("محمد ولد جميل")], rs,
                          lexicons, stemmer)
         assert verdict.answer is Answer.YES
         assert verdict.supporting.matched_rep.provenance is Provenance.BASE
 
     def test_antonym_no(self, lexicons, stemmer, thesaurus):
-        rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
         verdict = select([para("محمد ولد قبيح")], rs,
                          lexicons, stemmer)
         assert verdict.answer is Answer.NO
         assert verdict.supporting.matched_rep.provenance is Provenance.ANTONYM
 
     def test_negated_sentence_no(self, lexicons, stemmer, thesaurus):
-        rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
         verdict = select([para("ليس محمد ولد جميل")], rs,
                          lexicons, stemmer)
         assert verdict.answer is Answer.NO
@@ -169,13 +162,13 @@ class TestSelectAnswer:
 
     def test_antonym_of_negated_sentence_yes(self, lexicons, stemmer,
                                              thesaurus):
-        rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
         verdict = select([para("ليس محمد ولد قبيح")], rs,
                          lexicons, stemmer)
         assert verdict.answer is Answer.YES
 
     def test_unknown_without_candidates(self, lexicons, stemmer, thesaurus):
-        rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
         verdict = select([para("الجو صاف اليوم")], rs,
                          lexicons, stemmer)
         assert verdict.answer is Answer.UNKNOWN
@@ -183,7 +176,7 @@ class TestSelectAnswer:
         assert verdict.to_record() == {"answer": "unknown"}
 
     def test_minimum_span_wins(self, lexicons, stemmer, thesaurus):
-        rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
         text = "محمد ولد طويل جميل. محمد جميل"
         verdict = select([para(text)], rs, lexicons, stemmer)
         assert verdict.supporting.sentence.sentence_index == 1
@@ -191,14 +184,14 @@ class TestSelectAnswer:
 
     def test_retrieval_order_breaks_span_ties(self, lexicons, stemmer,
                                               thesaurus):
-        rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
         paragraphs = [para("محمد جميل", "b"), para("محمد جميل", "a")]
         verdict = select(paragraphs, rs, lexicons, stemmer)
         assert verdict.supporting.sentence.doc_id == "b"
 
     def test_provenance_breaks_full_ties(self, lexicons, stemmer, thesaurus):
         # One sentence satisfying base and synonym with identical spans.
-        rs = repset_for("هل سميرة التي كسرت النافذة ؟",
+        rs = analyze("هل سميرة التي كسرت النافذة ؟",
                         lexicons, stemmer, thesaurus)
         verdict = select([para("سميرة كسرت وحطمت النافذة")],
                          rs, lexicons, stemmer)
@@ -208,7 +201,7 @@ class TestSelectAnswer:
 
     def test_advanced_search_used_as_fallback(self, lexicons, stemmer,
                                               thesaurus):
-        rs = repset_for("هل محمود الذي حطم النافذة ؟",
+        rs = analyze("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
         verdict = select(
             [para("قذف محمود الكرة باتجاه النافذة. فتحطمت")],
@@ -218,7 +211,7 @@ class TestSelectAnswer:
 
     def test_advanced_search_can_be_disabled(self, lexicons, stemmer,
                                              thesaurus):
-        rs = repset_for("هل محمود الذي حطم النافذة ؟",
+        rs = analyze("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
         verdict = select(
             [para("قذف محمود الكرة باتجاه النافذة. فتحطمت")],
@@ -228,7 +221,7 @@ class TestSelectAnswer:
     def test_advanced_search_skipped_when_direct_hit_exists(self, lexicons,
                                                             stemmer,
                                                             thesaurus):
-        rs = repset_for("هل محمود الذي حطم النافذة ؟",
+        rs = analyze("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
         paragraphs = [
             para("قذف محمود الكرة باتجاه النافذة. فتحطمت"),
@@ -241,7 +234,7 @@ class TestSelectAnswer:
 
     def test_tighter_lookback_in_later_paragraph_wins(self, lexicons,
                                                       stemmer, thesaurus):
-        rs = repset_for("هل محمود الذي حطم النافذة ؟",
+        rs = analyze("هل محمود الذي حطم النافذة ؟",
                         lexicons, stemmer, thesaurus)
         paragraphs = [
             para("قذف محمود الكرة باتجاه النافذة. فتحطمت الكرة النافذة", "a"),
@@ -254,7 +247,7 @@ class TestSelectAnswer:
         assert verdict.answer is Answer.YES
 
     def test_deterministic(self, lexicons, stemmer, thesaurus):
-        rs = repset_for("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus)
         paragraphs = [para("محمد ولد جميل. ليس محمد ولد جميل")]
         first = select(paragraphs, rs, lexicons, stemmer)
         second = select(paragraphs, rs, lexicons, stemmer)
@@ -262,7 +255,7 @@ class TestSelectAnswer:
         assert first.trace == second.trace
 
     def test_trace_is_span_sorted(self, lexicons, stemmer, thesaurus):
-        rs = repset_for("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
+        rs = analyze("هل محمد جميل ؟", lexicons, stemmer, thesaurus)
         verdict = select(
             [para("محمد ولد طويل جميل. محمد جميل")],
             rs, lexicons, stemmer)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -301,6 +302,40 @@ class TestAskCommand:
                                       "هل محمد ولد جميل ؟"])
         assert result.exit_code == 2
         assert f"error: {small_corpus / 'x.txt'} is not UTF-8" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("flags", [[], ["--verbose"],
+                                       ["--json", "--verbose"]])
+    def test_question_not_utf_8_exits_1(self, runner, flags):
+        # A lone surrogate: what Python makes of an argument byte that is
+        # not UTF-8.
+        result = runner.invoke(main, ["ask", "--corpus", str(CORPUS_DIR),
+                                      *flags, "هل محمد\udcff جميل ؟"])
+        assert result.exit_code == 1
+        assert result.output == "malformed question: question is not UTF-8\n"
+        assert isinstance(result.exception, SystemExit)
+
+    def test_question_not_utf_8_is_evaluated_as_malformed(self, engine):
+        report = evaluation.evaluate(engine, [("هل محمد\udcff جميل ؟", "yes")])
+        assert [r.predicted for r in report.records] == ["malformed"]
+
+    @pytest.mark.parametrize("command", [["index"],
+                                         ["ask", "هل محمد ولد جميل ؟"]])
+    def test_corpus_file_name_not_utf_8_exits_2(self, runner, tmp_path,
+                                                command):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "d1.txt").write_text("محمد ولد جميل\n", encoding="utf-8")
+        bad = corpus / os.fsdecode(b"d_\xff.txt")
+        try:
+            bad.write_text("محمد ولد جميل\n", encoding="utf-8")
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        result = runner.invoke(main, [command[0], "--corpus", str(corpus),
+                                      *command[1:]])
+        assert result.exit_code == 2
+        assert result.output == (f"error: file name {os.fsencode(bad)!r} "
+                                 "is not UTF-8\n")
         assert isinstance(result.exception, SystemExit)
 
     def test_bare_article_exits_1(self, runner):

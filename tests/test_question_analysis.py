@@ -7,24 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from halqa.errors import MalformedQuestion
 from halqa.evaluation import load_questions
-from halqa.morphology import Thesaurus
+from halqa.morphology import PosTag, Thesaurus
 from halqa.pipeline import Engine
-from halqa.question_analysis import (Provenance, SentenceKind,
+from halqa.question_analysis import (ParsedQuestion, Provenance, SentenceKind,
                                      StemmedThesaurus, _relation_candidates,
-                                     build_representations, parse_question,
-                                     preprocess_special_verb,
+                                     parse_question, preprocess_special_verb,
                                      retrieval_term_multiset)
-from halqa.text_core import normalize, tokenize
+from halqa.text_core import INTERROGATIVE, normalize, strip_article, words
 
-from conftest import CORPUS_DIR, QUESTIONS
-
-
-def analyze(question, lexicons, stemmer, thesaurus, use_thesaurus=True):
-    parsed = parse_question(question, lexicons, stemmer)
-    parsed = preprocess_special_verb(parsed, stemmer)
-    return build_representations(parsed,
-                                 StemmedThesaurus.build(thesaurus, stemmer),
-                                 stemmer, use_thesaurus=use_thesaurus)
+from conftest import CORPUS_DIR, QUESTIONS, analyze
 
 
 def by_provenance(repset):
@@ -60,6 +51,28 @@ class TestParsing:
         assert q.negated
         assert q.relation == "يفتح"
 
+    def test_particle_among_content_words_negates(self, lexicons, stemmer):
+        q = parse_question("هل محمد ليس ولد ما جميل ؟", lexicons, stemmer)
+        assert q == dataclasses.replace(
+            parse_question("هل محمد ولد جميل ؟", lexicons, stemmer),
+            negated=True)
+
+    def test_two_particles_negate_once(self, lexicons, stemmer):
+        # The particle next to يفتح makes it a verb; both are dropped.
+        q = parse_question("هل لا لم يفتح محمود الباب ؟", lexicons, stemmer)
+        assert q == ParsedQuestion(kind=SentenceKind.VERBAL, head="محمود",
+                                   relation="يفتح", remaining=("باب",),
+                                   negated=True)
+
+    @pytest.mark.parametrize("question, kind, remaining", [
+        ("هل محمد ولد محمد جميل ؟", SentenceKind.NOMINAL, ("ولد", "محمد")),
+        ("هل فتح محمود محمود الباب ؟", SentenceKind.VERBAL, ("محمود", "باب")),
+    ])
+    def test_repeated_head_word_keeps_its_other_copy(
+            self, question, kind, remaining, lexicons, stemmer):
+        q = parse_question(question, lexicons, stemmer)
+        assert (q.kind, q.remaining) == (kind, remaining)
+
     MALFORMED = {
         # no interrogative particle
         "جميل الجو": "question must start with هل",
@@ -67,6 +80,8 @@ class TestParsing:
         "كيف حالك ؟": "question must start with هل",
         # stopwords only
         "هل في من ؟": "question has no content words",
+        # negation particles only
+        "هل لا لم ليس ؟": "question has no content words",
         # nominal without an article-free comment
         "هل الباب الكبير ؟":
             "nominal question has no article-free comment noun",
@@ -74,6 +89,8 @@ class TestParsing:
         "هل فتح ؟": "verbal question has no subject noun",
         # a bare article as a word
         "هل خالد ال بنت ؟": "question has a bare article (ال) as a word",
+        # a lone surrogate: an argument byte that is not UTF-8
+        "هل محمد\udcff جميل ؟": "question is not UTF-8",
     }
 
     @pytest.mark.parametrize("question", list(MALFORMED))
@@ -312,8 +329,8 @@ class TestRelationLookup:
 
 
 FIXTURE_WORDS = sorted(
-    {t.surface for path in [*CORPUS_DIR.glob("*.txt"), QUESTIONS]
-     for t in tokenize(normalize(path.read_text(encoding="utf-8")))})
+    {w for path in [*CORPUS_DIR.glob("*.txt"), QUESTIONS]
+     for w in words(normalize(path.read_text(encoding="utf-8")))})
 PARTICLES = ["ال", "ب", "و", "لا", "لم", "ليس", "هل"]
 
 
@@ -325,3 +342,80 @@ def test_any_question_is_answered_or_malformed(engine, words):
         engine.answer(" ".join(["هل", *words, "؟"]))
     except MalformedQuestion:
         pass
+
+
+@dataclasses.dataclass(frozen=True)
+class Token:
+    surface: str
+    position: int
+
+
+def token_parse(raw, lexicons, tagger):
+    """parse_question as it was written over Token(surface, position)s,
+    with a stopword pass and a negation pass that kept positions."""
+    tokens = [Token(s, i) for i, s in enumerate(words(normalize(raw)))]
+    if not tokens or tokens[0].surface != INTERROGATIVE:
+        raise MalformedQuestion("question must start with هل")
+    content = [t for t in tokens[1:] if t.surface not in lexicons.stopwords]
+    negated, content_no_neg = False, []
+    for t in content:
+        if t.surface in lexicons.negation_particles:
+            negated = True
+        else:
+            content_no_neg.append(t)
+    if not content_no_neg:
+        raise MalformedQuestion("question has no content words")
+    if any(not strip_article(t.surface, lexicons) for t in content_no_neg):
+        raise MalformedQuestion("question has a bare article (ال) as a word")
+    preceding = {t.position: p.surface
+                 for p, t in zip(content, content[1:])}
+
+    def is_noun(t):
+        return tagger.tag(t.surface, preceding.get(t.position)) is PosTag.NOUN
+
+    first, *rest = content_no_neg
+    nouns = [t for t in rest if is_noun(t)]
+    if not is_noun(first):
+        if not nouns:
+            raise MalformedQuestion("verbal question has no subject noun")
+        kind, head, relation = SentenceKind.VERBAL, nouns[0], first
+    else:
+        kind, head = SentenceKind.NOMINAL, first
+        relation = next((t for t in reversed(nouns)
+                         if strip_article(t.surface, lexicons) == t.surface),
+                        None)
+        if relation is None:
+            raise MalformedQuestion(
+                "nominal question has no article-free comment noun")
+    return ParsedQuestion(
+        kind=kind,
+        head=strip_article(head.surface, lexicons),
+        relation=relation.surface,
+        remaining=tuple(strip_article(t.surface, lexicons)
+                        for t in rest if t not in (head, relation)),
+        negated=negated,
+    )
+
+
+def parse_or_message(parse, question, lexicons, stemmer):
+    try:
+        return parse(question, lexicons, stemmer)
+    except MalformedQuestion as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parse_equals_the_token_parse(lexicons, stemmer, data):
+    pool = sorted({*FIXTURE_WORDS, *lexicons.stopwords,
+                   *lexicons.negation_particles, *lexicons.article_exceptions,
+                   *stemmer.overrides, "ال", INTERROGATIVE})
+    particles = [*sorted(lexicons.negation_particles), "قد", "سوف", "ال",
+                 INTERROGATIVE]
+    question = " ".join(data.draw(st.lists(
+        st.one_of(st.sampled_from(pool), st.sampled_from(particles)),
+        max_size=6)))
+    if data.draw(st.booleans()):
+        question = f"{INTERROGATIVE} {question} ؟"
+    assert parse_or_message(parse_question, question, lexicons, stemmer) == \
+        parse_or_message(token_parse, question, lexicons, stemmer)

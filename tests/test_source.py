@@ -125,3 +125,19 @@ def test_readme_states_the_snapshot_format_version():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert re.findall(r"\(format version (\d+)\)", readme) == \
         [str(INDEX_FORMAT_VERSION)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "text_core.py"],
+                         ids=lambda path: path.name)
+def test_only_text_core_reads_tokens(path):
+    # The package works on plain words. Token, tokenize and remove_stopwords
+    # stay in text_core.py only because perfbench/ imports them; __init__.py
+    # may re-export tokenize, which lists it in __all__ but never reads it.
+    names = {"Token", "tokenize", "remove_stopwords", "detect_negation"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [(node.lineno, node.id) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in names]
+    reads += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in names]
+    assert not reads, f"{path.name} reads {reads}"

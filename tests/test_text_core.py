@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from halqa.errors import LexiconParseError
 from halqa.text_core import (_DIACRITICS, _PUNCT, _SPACES, Lexicons,
-                             detect_negation, normalize, read_rows,
+                             normalize, read_rows,
                              remove_stopwords, split_paragraphs,
                              split_sentences, strip_article, tokenize, words)
 
@@ -110,24 +110,6 @@ def test_remove_stopwords_identity_without_hits():
 def test_strip_article(word, exceptions, expected):
     lex = Lexicons(article_exceptions=exceptions)
     assert strip_article(word, lex) == expected
-
-
-def test_detect_negation():
-    lex = Lexicons(negation_particles=frozenset({"لم"}))
-    negated, rest = detect_negation(tokenize("لم يفتح الباب"), lex)
-    assert negated
-    assert [(t.surface, t.position) for t in rest] == [("يفتح", 1), ("الباب", 2)]
-
-    negated, rest = detect_negation(tokenize("فتح الباب"), lex)
-    assert not negated and len(rest) == 2
-    assert detect_negation([], lex) == (False, [])
-
-
-def test_detect_negation_preserves_order():
-    lex = Lexicons(negation_particles=frozenset({"لا"}))
-    _, rest = detect_negation(tokenize("ا لا ب لا ج"), lex)
-    positions = [t.position for t in rest]
-    assert positions == sorted(positions)
 
 
 @pytest.mark.parametrize("doc,expected", [
