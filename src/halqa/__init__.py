@@ -10,7 +10,7 @@ from .question_analysis import (LogicalRep, ParsedQuestion, Provenance,
                                 RepSet, SentenceKind, StemmedThesaurus,
                                 build_representations, parse_question)
 from .retrieval import Index, build_index, document_technique, paragraph_technique
-from .text_core import Lexicons, normalize, tokenize
+from .text_core import Lexicons, normalize
 
 __all__ = [
     "Answer", "AnswerResult", "Config", "Engine", "Index", "Lexicons",
@@ -19,7 +19,7 @@ __all__ = [
     "Verdict",
     "build_index", "build_representations", "document_technique",
     "load_config", "load_thesaurus", "normalize", "paragraph_technique",
-    "parse_question", "resolve_polarity", "tokenize",
+    "parse_question", "resolve_polarity",
 ]
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -68,8 +69,15 @@ def cmd_index(config_file, out_path, **overrides):
     try:
         config = _build_config(config_file, **overrides)
         engine = Engine(config)
+        # With no corpus directory the build fails before out is used.
+        out = (Path(out_path) if out_path
+               else Path(config.corpus_dir or "") / "index.json")
+        try:  # the summary prints it; a byte not UTF-8 reads as a surrogate
+            str(out).encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"snapshot path {os.fsencode(out)!r} is not "
+                             "UTF-8") from None
         idx = engine.index
-        out = Path(out_path) if out_path else Path(config.corpus_dir) / "index.json"
         engine.save_index(out)
     except (OSError, HalqaError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)

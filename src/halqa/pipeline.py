@@ -10,10 +10,9 @@ from pathlib import Path
 from .answer_selection import (Sentence, Verdict, prepare_sentences,
                                select_answer)
 from .config import Config
-from .morphology import LightStemmer, load_thesaurus
+from .morphology import LightStemmer, Thesaurus, load_thesaurus
 from .question_analysis import (RepSet, StemmedThesaurus,
                                 build_representations, parse_question,
-                                preprocess_special_verb,
                                 retrieval_term_multiset)
 from .retrieval import (Index, Paragraph, build_index_from_dir,
                         document_technique, load_index, paragraph_technique,
@@ -37,8 +36,9 @@ class Engine:
         self.lexicons = Lexicons.from_files(config.stopwords, config.negation,
                                             config.article_exceptions)
         self.stemmer = LightStemmer.from_file(config.stem_overrides)
+        thesaurus = load_thesaurus(config.thesaurus)  # checked even when off
         self.thesaurus = StemmedThesaurus.build(
-            load_thesaurus(config.thesaurus), self.stemmer)
+            thesaurus if config.use_thesaurus else Thesaurus(), self.stemmer)
         self._index: Index | None = None
 
     @property
@@ -58,10 +58,9 @@ class Engine:
         save_index(self.index, path)
 
     def analyze(self, question: str) -> RepSet:
-        parsed = parse_question(question, self.lexicons, self.stemmer)
-        parsed = preprocess_special_verb(parsed, self.stemmer)
-        return build_representations(parsed, self.thesaurus, self.stemmer,
-                                     use_thesaurus=self.config.use_thesaurus)
+        return build_representations(
+            parse_question(question, self.lexicons, self.stemmer),
+            self.thesaurus, self.stemmer)
 
     def retrieve(self, reps: RepSet) -> list[Paragraph]:
         query = Counter(retrieval_term_multiset(reps, self.stemmer))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import MalformedQuestion
 from .morphology import LightStemmer, PosTag, Thesaurus
@@ -25,7 +25,7 @@ class Provenance(enum.Enum):
     ANTONYM = "antonym"
 
 
-# Verbs whose root triggers the preposition-rewrite preprocessing step.
+# Verbs whose root triggers the rewrite of a ب-word into the relation.
 SPECIAL_VERB_ROOTS = frozenset({"وصف", "شهر", "ميز"})
 _BA = "ب"
 
@@ -56,10 +56,12 @@ class RepSet:
 
 
 def parse_question(raw: str, lexicons: Lexicons,
-                   tagger: LightStemmer) -> ParsedQuestion:
+                   stemmer: LightStemmer) -> ParsedQuestion:
     """Parse a هل-question; raise MalformedQuestion when it is not UTF-8,
     has no هل, no head or no relation, or when a content word is a bare
-    article."""
+    article. A verbal question whose verb stems to وصف, شهر or ميز takes
+    as relation the root of its first remaining ب-word without the ب, and
+    every copy of that word leaves the remaining words."""
     try:
         raw.encode()
     except UnicodeEncodeError:  # a lone surrogate: an argument byte not UTF-8
@@ -77,8 +79,8 @@ def parse_question(raw: str, lexicons: Lexicons,
 
     def is_noun(i: int) -> bool:
         # The preceding word may be a particle, so لم يفتح tags يفتح a verb.
-        return tagger.tag(content[i],
-                          content[i - 1] if i else None) is PosTag.NOUN
+        return stemmer.tag(content[i],
+                           content[i - 1] if i else None) is PosTag.NOUN
 
     first, *rest = kept
     nouns = [i for i in rest if is_noun(i)]
@@ -96,30 +98,20 @@ def parse_question(raw: str, lexicons: Lexicons,
         if relation is None:
             raise MalformedQuestion(
                 "nominal question has no article-free comment noun")
-    return ParsedQuestion(
-        kind=kind,
-        head=strip_article(content[head], lexicons),
-        relation=content[relation],
-        remaining=tuple(strip_article(content[i], lexicons)
-                        for i in rest if i not in (head, relation)),
-        negated=len(kept) < len(content),
-    )
-
-
-def preprocess_special_verb(q: ParsedQuestion,
-                            stemmer: LightStemmer) -> ParsedQuestion:
-    """Rewrite وصف/شهر/ميز-type verbal questions: the verb is replaced by
-    the root of the ب-prefixed remaining word, which is consumed."""
-    if q.kind is not SentenceKind.VERBAL:
-        return q
-    if stemmer.stem(q.relation) not in SPECIAL_VERB_ROOTS:
-        return q
-    for word in q.remaining:
-        if word.startswith(_BA) and len(word) > 1:
-            rest = tuple(w for w in q.remaining if w != word)
-            return replace(q, relation=stemmer.stem(word[len(_BA):]),
-                           remaining=rest)
-    return q
+    relation_word = content[relation]
+    remaining = tuple(strip_article(content[i], lexicons)
+                      for i in rest if i not in (head, relation))
+    if kind is SentenceKind.VERBAL \
+            and stemmer.stem(relation_word) in SPECIAL_VERB_ROOTS:
+        ba_word = next((w for w in remaining
+                        if w.startswith(_BA) and len(w) > len(_BA)), None)
+        if ba_word is not None:
+            relation_word = stemmer.stem(ba_word[len(_BA):])
+            remaining = tuple(w for w in remaining if w != ba_word)
+    return ParsedQuestion(kind=kind,
+                          head=strip_article(content[head], lexicons),
+                          relation=relation_word, remaining=remaining,
+                          negated=len(kept) < len(content))
 
 
 @dataclass(frozen=True)
@@ -154,8 +146,7 @@ def _relation_candidates(relation: str, root: str,
 
 
 def build_representations(q: ParsedQuestion, thesaurus: StemmedThesaurus,
-                          stemmer: LightStemmer,
-                          use_thesaurus: bool = True) -> RepSet:
+                          stemmer: LightStemmer) -> RepSet:
     """Expand a parsed question into its logical representations.
 
     Always one BASE rep; a SYNONYM rep when the thesaurus knows synonyms
@@ -173,13 +164,12 @@ def build_representations(q: ParsedQuestion, thesaurus: StemmedThesaurus,
 
     root = stemmer.stem(q.relation)
     reps = [rep(frozenset({root}), q.negated, Provenance.BASE)]
-    if use_thesaurus:
-        synonyms = _relation_candidates(q.relation, root, thesaurus.synonyms)
-        if synonyms:
-            reps.append(rep(synonyms, q.negated, Provenance.SYNONYM))
-        antonyms = _relation_candidates(q.relation, root, thesaurus.antonyms)
-        if antonyms:
-            reps.append(rep(antonyms, not q.negated, Provenance.ANTONYM))
+    synonyms = _relation_candidates(q.relation, root, thesaurus.synonyms)
+    if synonyms:
+        reps.append(rep(synonyms, q.negated, Provenance.SYNONYM))
+    antonyms = _relation_candidates(q.relation, root, thesaurus.antonyms)
+    if antonyms:
+        reps.append(rep(antonyms, not q.negated, Provenance.ANTONYM))
     return RepSet(reps=tuple(reps), source=q)
 
 

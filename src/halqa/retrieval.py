@@ -338,7 +338,7 @@ def document_scores(idx: Index, q: Counter) -> dict[int, float]:
                        max(q.values(), default=0))
 
 
-def paragraph_technique(idx: Index, q: Counter, k: int = 5) -> list[Paragraph]:
+def paragraph_technique(idx: Index, q: Counter, k: int) -> list[Paragraph]:
     """Rank the paragraphs corpus-wide; return the top k.
 
     Only the paragraphs holding a query root are scored, and the ranking
@@ -349,8 +349,8 @@ def paragraph_technique(idx: Index, q: Counter, k: int = 5) -> list[Paragraph]:
             for i, s in _top(paragraph_scores(idx, q), idx.n_paragraphs, k)]
 
 
-def document_technique(idx: Index, q: Counter, k_docs: int = 5,
-                       k_paras: int = 5) -> list[Paragraph]:
+def document_technique(idx: Index, q: Counter, k_docs: int,
+                       k_paras: int) -> list[Paragraph]:
     """Rank documents, keep the top k_docs, then rank their paragraphs.
 
     Documents are ranked through the postings as paragraphs are; document

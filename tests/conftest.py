@@ -7,8 +7,7 @@ from halqa.config import Config
 from halqa.morphology import LightStemmer, load_thesaurus
 from halqa.pipeline import Engine
 from halqa.question_analysis import (RepSet, StemmedThesaurus,
-                                     build_representations, parse_question,
-                                     preprocess_special_verb)
+                                     build_representations, parse_question)
 from halqa.retrieval import Index
 from halqa.text_core import Lexicons, load_wordlist
 
@@ -19,15 +18,12 @@ CORPUS_DIR = FIXTURES / "corpus"
 QUESTIONS = FIXTURES / "questions.tsv"
 
 
-def analyze(question, lexicons, stemmer, thesaurus,
-            use_thesaurus=True) -> RepSet:
+def analyze(question, lexicons, stemmer, thesaurus) -> RepSet:
     """The representations of a question, as ``Engine.analyze`` makes
-    them: parse, rewrite a special verb, expand with the thesaurus."""
-    parsed = preprocess_special_verb(
-        parse_question(question, lexicons, stemmer), stemmer)
-    return build_representations(parsed,
+    them: parse, then expand with the thesaurus."""
+    return build_representations(parse_question(question, lexicons, stemmer),
                                  StemmedThesaurus.build(thesaurus, stemmer),
-                                 stemmer, use_thesaurus=use_thesaurus)
+                                 stemmer)
 
 
 def index_of(paragraphs) -> Index:

@@ -56,6 +56,31 @@ class TestIndexCommand:
         assert result.exit_code == 2
         assert "error:" in result.output
 
+    @pytest.mark.parametrize("where", ["out", "corpus"])
+    def test_snapshot_path_not_utf_8_exits_2(self, runner, small_corpus,
+                                             tmp_path, where):
+        # The summary prints the snapshot path, so it is refused before the
+        # build: either the --out name or the corpus directory of the
+        # default <corpus>/index.json.
+        args = ["index", "--corpus", str(small_corpus)]
+        if where == "out":
+            out = tmp_path / os.fsdecode(b"o_\xff.json")
+            args += ["--out", str(out)]
+        else:
+            corpus = tmp_path / os.fsdecode(b"c_\xff")
+            try:
+                small_corpus.rename(corpus)
+            except (OSError, UnicodeError):
+                pytest.skip("the filesystem refuses a name that is not UTF-8")
+            args[2], out = str(corpus), corpus / "index.json"
+        before = sorted(out.parent.iterdir())
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == (f"error: snapshot path {os.fsencode(out)!r} "
+                                 "is not UTF-8\n")
+        assert isinstance(result.exception, SystemExit)
+        assert sorted(out.parent.iterdir()) == before
+
     def test_rebuild_overwrites(self, runner, small_corpus, tmp_path):
         out = tmp_path / "snap.json"
         for _ in range(2):
@@ -554,11 +579,14 @@ class TestConfigFile:
         cfg = tmp_path / "halqa.cfg"
         cfg.write_text(f"{key} = {bad}\ncorpus_dir = {small_corpus}\n",
                        encoding="utf-8")
-        result = runner.invoke(main, ["ask", "--config", str(cfg),
-                                      "هل محمد ولد جميل ؟"])
-        assert result.exit_code == 2
-        assert result.output.startswith(f"error: {bad}:2: not UTF-8: ")
-        assert isinstance(result.exception, SystemExit)
+        # With expansion off the thesaurus is still read, and so checked.
+        runs = [[], ["--thesaurus", "off"]] if key == "thesaurus" else [[]]
+        for flags in runs:
+            result = runner.invoke(main, ["ask", "--config", str(cfg), *flags,
+                                          "هل محمد ولد جميل ؟"])
+            assert result.exit_code == 2
+            assert result.output.startswith(f"error: {bad}:2: not UTF-8: ")
+            assert isinstance(result.exception, SystemExit)
 
     def test_config_not_utf_8_is_named(self, runner, tmp_path):
         cfg = tmp_path / "halqa.cfg"

@@ -11,8 +11,7 @@ from halqa.morphology import PosTag, Thesaurus
 from halqa.pipeline import Engine
 from halqa.question_analysis import (ParsedQuestion, Provenance, SentenceKind,
                                      StemmedThesaurus, _relation_candidates,
-                                     parse_question, preprocess_special_verb,
-                                     retrieval_term_multiset)
+                                     parse_question, retrieval_term_multiset)
 from halqa.text_core import INTERROGATIVE, normalize, strip_article, words
 
 from conftest import CORPUS_DIR, QUESTIONS, analyze
@@ -115,18 +114,36 @@ class TestSpecialVerbs:
     def test_description_verb_rewrites(self, lexicons, stemmer):
         q = parse_question("هل يوصف كريم بالشجاعة في الملعب ؟",
                            lexicons, stemmer)
-        rewritten = preprocess_special_verb(q, stemmer)
-        assert rewritten.relation == stemmer.stem("الشجاعة")
-        assert "بالشجاعة" not in rewritten.remaining
-        assert rewritten.remaining == ("ملعب",)
+        assert q.relation == stemmer.stem("الشجاعة")
+        assert "بالشجاعة" not in q.remaining
+        assert q.remaining == ("ملعب",)
+
+    def test_every_copy_of_the_ba_word_leaves(self, lexicons, stemmer):
+        q = parse_question("هل يتميز الملعب بالعشب بالعشب في عمان ؟",
+                           lexicons, stemmer)
+        assert (q.relation, q.remaining) == (stemmer.stem("عشب"), ("عمان",))
+
+    @pytest.mark.parametrize("question", [
+        "هل يوصف كريم بالشجاعة في الملعب ؟",
+        "هل لا يوصف محمد بالكرم ؟",
+        "هل يتميز الملعب بالعشب بالعشب في عمان ؟",
+        "هل يشتهر عمر بالكرم و بالشجاعة بالكرم ؟",
+    ])
+    def test_rewrite_equals_the_reference(self, lexicons, stemmer, question):
+        parsed = token_parse(question, lexicons, stemmer)
+        rewritten = special_verb_rewrite(parsed, stemmer)
+        assert rewritten != parsed
+        assert parse_question(question, lexicons, stemmer) == rewritten
 
     def test_regular_verb_untouched(self, lexicons, stemmer):
-        q = parse_question("هل فتح محمود الباب ؟", lexicons, stemmer)
-        assert preprocess_special_verb(q, stemmer) == q
+        question = "هل فتح محمود الباب ؟"
+        assert parse_question(question, lexicons, stemmer) == \
+            token_parse(question, lexicons, stemmer)
 
     def test_trigger_without_ba_word_untouched(self, lexicons, stemmer):
-        q = parse_question("هل يشتهر عمر في عمان ؟", lexicons, stemmer)
-        assert preprocess_special_verb(q, stemmer) == q
+        question = "هل يشتهر عمر في عمان ؟"
+        assert parse_question(question, lexicons, stemmer) == \
+            token_parse(question, lexicons, stemmer)
 
 
 class TestPaperGoldens:
@@ -229,9 +246,8 @@ class TestRepSetInvariants:
         assert [r.provenance for r in rs.reps] == [
             Provenance.BASE, Provenance.SYNONYM, Provenance.ANTONYM]
 
-    def test_thesaurus_disabled(self, lexicons, stemmer, thesaurus):
-        rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, thesaurus,
-                     use_thesaurus=False)
+    def test_thesaurus_disabled(self, lexicons, stemmer):
+        rs = analyze("هل محمد ولد جميل ؟", lexicons, stemmer, Thesaurus())
         assert [r.provenance for r in rs.reps] == [Provenance.BASE]
 
     def test_roots_are_stem_idempotent(self, lexicons, stemmer, thesaurus):
@@ -351,8 +367,9 @@ class Token:
 
 
 def token_parse(raw, lexicons, tagger):
-    """parse_question as it was written over Token(surface, position)s,
-    with a stopword pass and a negation pass that kept positions."""
+    """parse_question, up to its special-verb rewrite, as it was written
+    over Token(surface, position)s, with a stopword pass and a negation
+    pass that kept positions."""
     tokens = [Token(s, i) for i, s in enumerate(words(normalize(raw)))]
     if not tokens or tokens[0].surface != INTERROGATIVE:
         raise MalformedQuestion("question must start with هل")
@@ -397,6 +414,26 @@ def token_parse(raw, lexicons, tagger):
     )
 
 
+def special_verb_rewrite(q, stemmer):
+    """The special-verb rewrite as it was written over a finished parse:
+    a وصف/شهر/ميز verb is replaced by the root of the first ب-word in
+    remaining, and every copy of that word is dropped."""
+    if q.kind is not SentenceKind.VERBAL:
+        return q
+    if stemmer.stem(q.relation) not in {"وصف", "شهر", "ميز"}:
+        return q
+    for word in q.remaining:
+        if word.startswith("ب") and len(word) > 1:
+            rest = tuple(w for w in q.remaining if w != word)
+            return dataclasses.replace(
+                q, relation=stemmer.stem(word[1:]), remaining=rest)
+    return q
+
+
+def rewritten_token_parse(raw, lexicons, stemmer):
+    return special_verb_rewrite(token_parse(raw, lexicons, stemmer), stemmer)
+
+
 def parse_or_message(parse, question, lexicons, stemmer):
     try:
         return parse(question, lexicons, stemmer)
@@ -418,4 +455,4 @@ def test_parse_equals_the_token_parse(lexicons, stemmer, data):
     if data.draw(st.booleans()):
         question = f"{INTERROGATIVE} {question} ؟"
     assert parse_or_message(parse_question, question, lexicons, stemmer) == \
-        parse_or_message(token_parse, question, lexicons, stemmer)
+        parse_or_message(rewritten_token_parse, question, lexicons, stemmer)

@@ -114,6 +114,29 @@ def test_no_forwarding_properties(path):
     assert not forwarding, f"{path.name} has forwarding properties: {forwarding}"
 
 
+def test_every_public_name_is_read_outside_tests():
+    # A module-level function or class that only tests read is dead code
+    # kept alive by its tests. A decorator other than @dataclass registers
+    # what it decorates (the click commands), which counts as a use.
+    perfbench = [p for p in (ROOT / "perfbench").rglob("*.py")
+                 if "tests" not in p.relative_to(ROOT).parts]
+    read = set()
+    for path in [*SRC.glob("*.py"), *perfbench]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{path.name}:{node.lineno} {node.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read
+              and all(ast.unparse(d).startswith("dataclass")
+                      for d in node.decorator_list)]
+    assert not unread, f"public names only tests read: {unread}"
+
+
 def test_every_name_in_all_is_an_attribute():
     # A stale __all__ entry passes test_no_unused_imports, which reads the
     # list as names used, but breaks `from halqa import *`.
@@ -132,8 +155,7 @@ def test_readme_states_the_snapshot_format_version():
                          ids=lambda path: path.name)
 def test_only_text_core_reads_tokens(path):
     # The package works on plain words. Token, tokenize and remove_stopwords
-    # stay in text_core.py only because perfbench/ imports them; __init__.py
-    # may re-export tokenize, which lists it in __all__ but never reads it.
+    # stay in text_core.py only because perfbench/ imports them.
     names = {"Token", "tokenize", "remove_stopwords", "detect_negation"}
     tree = ast.parse(path.read_text(encoding="utf-8"))
     reads = [(node.lineno, node.id) for node in ast.walk(tree)
