@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 malformed question, 2 I/O or parse error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -19,10 +20,7 @@ from .evaluation import evaluate, load_questions, sweep
 from .pipeline import Engine
 
 
-def _build_config(config_file, **overrides) -> Config:
-    base = load_config(config_file) if config_file else Config()
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(base, **changes)
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(Config)}
 
 
 def _onoff(_ctx, _param, value):
@@ -36,23 +34,41 @@ _positive = click.IntRange(min=1)
 
 
 def common_options(fn):
-    fn = click.option("--config", "config_file", type=click.Path(exists=True),
-                      help="Key = value config file; flags override it.")(fn)
-    fn = click.option("--corpus", "corpus_dir", type=click.Path(),
-                      help="Directory of UTF-8 .txt documents.")(fn)
-    fn = click.option("--technique", type=click.Choice(["paragraph", "document"]),
-                      default=None)(fn)
-    fn = click.option("--k", "k_paras", type=_positive, default=None,
-                      help="Paragraphs to retrieve (default 5).")(fn)
-    fn = click.option("--k-docs", "k_docs", type=_positive, default=None,
-                      help="Documents to retain in the document technique.")(fn)
-    fn = click.option("--thesaurus", "use_thesaurus", type=_onoff_choice,
-                      callback=_onoff, default=None,
-                      help="Synonym/antonym query expansion.")(fn)
-    fn = click.option("--advanced", "use_advanced_search", type=_onoff_choice,
-                      callback=_onoff, default=None,
-                      help="Preceding-sentence lookback search.")(fn)
-    return fn
+    """Add the shared options; the command is called with the Engine they
+    configure, and any error it raises exits 1 or 2 here."""
+
+    @click.option("--advanced", "use_advanced_search", type=_onoff_choice,
+                  callback=_onoff, default=None,
+                  help="Preceding-sentence lookback search.")
+    @click.option("--thesaurus", "use_thesaurus", type=_onoff_choice,
+                  callback=_onoff, default=None,
+                  help="Synonym/antonym query expansion.")
+    @click.option("--k-docs", "k_docs", type=_positive, default=None,
+                  help="Documents to retain in the document technique.")
+    @click.option("--k", "k_paras", type=_positive, default=None,
+                  help="Paragraphs to retrieve (default 5).")
+    @click.option("--technique", type=click.Choice(["paragraph", "document"]),
+                  default=None)
+    @click.option("--corpus", "corpus_dir", type=click.Path(),
+                  help="Directory of UTF-8 .txt documents.")
+    @click.option("--config", "config_file", type=click.Path(exists=True),
+                  help="Key = value config file; flags override it.")
+    @functools.wraps(fn)
+    def command(config_file, **options):
+        # Every option named for a Config field leaves options; None is unset.
+        given = {name: value for name in _CONFIG_FIELDS & options.keys()
+                 if (value := options.pop(name)) is not None}
+        try:
+            config = load_config(config_file) if config_file else Config()
+            fn(Engine(dataclasses.replace(config, **given)), **options)
+        except MalformedQuestion as exc:
+            click.echo(f"malformed question: {exc}", err=True)
+            sys.exit(1)
+        except (OSError, HalqaError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+    return command
 
 
 @click.group()
@@ -64,24 +80,18 @@ def main():
 @common_options
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Snapshot path (default: <corpus>/index.json).")
-def cmd_index(config_file, out_path, **overrides):
+def cmd_index(engine, out_path):
     """Build the corpus index, persist it and print summary statistics."""
-    try:
-        config = _build_config(config_file, **overrides)
-        engine = Engine(config)
-        # With no corpus directory the build fails before out is used.
-        out = (Path(out_path) if out_path
-               else Path(config.corpus_dir or "") / "index.json")
-        try:  # the summary prints it; a byte not UTF-8 reads as a surrogate
-            str(out).encode()
-        except UnicodeEncodeError:
-            raise ValueError(f"snapshot path {os.fsencode(out)!r} is not "
-                             "UTF-8") from None
-        idx = engine.index
-        engine.save_index(out)
-    except (OSError, HalqaError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    # With no corpus directory the build fails before out is used.
+    out = (Path(out_path) if out_path
+           else Path(engine.config.corpus_dir or "") / "index.json")
+    try:  # the summary prints it; a byte not UTF-8 reads as a surrogate
+        str(out).encode()
+    except UnicodeEncodeError:
+        raise ValueError(f"snapshot path {os.fsencode(out)!r} is not "
+                         "UTF-8") from None
+    idx = engine.index
+    engine.save_index(out)
     click.echo(f"documents: {idx.n_documents}")
     click.echo(f"paragraphs: {idx.n_paragraphs}")
     click.echo(f"vocabulary: {len(idx.paragraph_postings)}")
@@ -95,20 +105,11 @@ def cmd_index(config_file, out_path, **overrides):
 @click.option("--verbose", is_flag=True, help="Print the full trace.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.argument("question")
-def cmd_ask(config_file, index_path, verbose, as_json, question, **overrides):
+def cmd_ask(engine, index_path, verbose, as_json, question):
     """Answer a single هل-question against the corpus."""
-    try:
-        config = _build_config(config_file, **overrides)
-        engine = Engine(config)
-        if index_path:
-            engine.load_index(index_path)
-        result = engine.answer(question)
-    except MalformedQuestion as exc:
-        click.echo(f"malformed question: {exc}", err=True)
-        sys.exit(1)
-    except (OSError, HalqaError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    if index_path:
+        engine.load_index(index_path)
+    result = engine.answer(question)
 
     if as_json:
         record = result.verdict.to_record()
@@ -153,25 +154,20 @@ def cmd_ask(config_file, index_path, verbose, as_json, question, **overrides):
 @click.option("--sweep-all-questions", is_flag=True,
               help="Evaluate every question at every sweep size.")
 @click.argument("questions_file", type=click.Path(exists=True))
-def cmd_eval(config_file, as_json, sweep_sizes, sweep_all_questions,
-             questions_file, **overrides):
+def cmd_eval(engine, as_json, sweep_sizes, sweep_all_questions,
+             questions_file):
     """Evaluate a gold-labeled question file (question<TAB>yes|no)."""
-    try:
-        config = _build_config(config_file, **overrides)
-        questions = load_questions(questions_file)
-        if sweep_sizes is not None:
-            try:
-                sizes = [int(s) for s in sweep_sizes.split(",")]
-            except ValueError:
-                raise ValueError("sweep sizes must be comma-separated "
-                                 f"integers, got {sweep_sizes!r}") from None
-            reports = sweep(config, questions, sizes,
-                            all_questions=sweep_all_questions)
-        else:
-            reports = [evaluate(Engine(config), questions)]
-    except (OSError, HalqaError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    questions = load_questions(questions_file)
+    if sweep_sizes is not None:
+        try:
+            sizes = [int(s) for s in sweep_sizes.split(",")]
+        except ValueError:
+            raise ValueError("sweep sizes must be comma-separated "
+                             f"integers, got {sweep_sizes!r}") from None
+        reports = sweep(engine, questions, sizes,
+                        all_questions=sweep_all_questions)
+    else:
+        reports = [evaluate(engine, questions)]
 
     if as_json:
         for report in reports:

@@ -51,13 +51,6 @@ class Config:
         if self.technique not in ("paragraph", "document"):
             raise ValueError(f"unknown technique: {self.technique}")
 
-    def check_files(self) -> None:
-        """Verify every referenced lexicon file exists."""
-        for name in _DATA_FILES:
-            path = getattr(self, name)
-            if not path.is_file():
-                raise FileNotFoundError(f"{name} file not found: {path}")
-
 
 def load_config(path: Path | str) -> Config:
     """Parse a key = value config file (UTF-8, # comments), each key at

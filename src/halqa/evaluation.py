@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import Config
 from .errors import LexiconParseError, MalformedQuestion
 from .pipeline import Engine
 from .retrieval import build_index, read_corpus
@@ -80,10 +79,11 @@ def evaluate(engine: Engine, questions: list[tuple[str, str]]) -> EvalReport:
                       corpus_size=engine.index.n_documents)
 
 
-def sweep(config: Config, questions: list[tuple[str, str]],
+def sweep(engine: Engine, questions: list[tuple[str, str]],
           sizes: list[int], all_questions: bool = False) -> list[EvalReport]:
     """Re-run the evaluation with the corpus truncated to its first
-    ``size`` documents (file-name order) for each size.
+    ``size`` documents (file-name order) for each size; each size's index
+    replaces the engine's.
 
     By default each size gets a cumulative prefix of the question file,
     mirroring the paired documents/questions protocol; all_questions
@@ -91,8 +91,7 @@ def sweep(config: Config, questions: list[tuple[str, str]],
     """
     if min(sizes, default=1) < 1:
         raise ValueError(f"sweep sizes must be at least 1, got {min(sizes)}")
-    engine = Engine(config)
-    corpus = read_corpus(config.corpus_dir)
+    corpus = read_corpus(engine.config.corpus_dir)
     reports = []
     for i, size in enumerate(sizes):
         engine.set_index(build_index(corpus[:size], engine.lexicons,

@@ -31,7 +31,6 @@ class Engine:
     """Question answering pipeline bound to one configuration."""
 
     def __init__(self, config: Config):
-        config.check_files()
         self.config = config
         self.lexicons = Lexicons.from_files(config.stopwords, config.negation,
                                             config.article_exceptions)

@@ -370,21 +370,26 @@ def save_index(idx: Index, path: Path | str) -> None:
     """Persist the index's four lists as a compact JSON snapshot, the bytes
     of ``json.dumps(payload, ensure_ascii=False, separators=(",", ":"))``.
     The file is replaced atomically and gets the mode the umask allows
-    (0644 under umask 022). Everything else is derived from the lists."""
+    (0644 under umask 022). Everything else is derived from the lists.
+    OSError names the snapshot path, not the temporary file."""
     payload = {"format_version": INDEX_FORMAT_VERSION,
                **{name: getattr(idx, name) for name in _COLUMNS}}
-    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")))
-        # mkstemp creates the file readable by its owner only; give it the
-        # mode a plain open() would. The umask can only be read by setting it.
-        os.umask(umask := os.umask(0o022))
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, ensure_ascii=False,
+                                    separators=(",", ":")))
+            # mkstemp makes the file its owner's only; give it the mode a
+            # plain open() would. The umask can only be read by setting it.
+            os.umask(umask := os.umask(0o022))
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def load_index(path: Path | str) -> Index:

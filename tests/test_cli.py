@@ -10,6 +10,7 @@ from halqa.cli import main
 from halqa.config import Config, load_config
 from halqa.errors import LexiconParseError
 from halqa.evaluation import load_questions, sweep
+from halqa.pipeline import Engine
 from halqa.retrieval import INDEX_FORMAT_VERSION
 
 from conftest import CORPUS_DIR, FIXTURES, QUESTIONS
@@ -80,6 +81,22 @@ class TestIndexCommand:
                                  "is not UTF-8\n")
         assert isinstance(result.exception, SystemExit)
         assert sorted(out.parent.iterdir()) == before
+
+    @pytest.mark.parametrize("out", ["nodir/x.json", "outdir"])
+    def test_unwritable_snapshot_path_is_named(self, runner, small_corpus,
+                                               tmp_path, out):
+        # The error names the --out path, not the temporary file written
+        # beside it, and the temporary file is removed.
+        (tmp_path / "outdir").mkdir()
+        out = tmp_path / out
+        result = runner.invoke(main, ["index", "--corpus", str(small_corpus),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: [Errno ")
+        assert result.output.endswith(f": '{out}'\n")
+        assert ".tmp" not in result.output
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_rebuild_overwrites(self, runner, small_corpus, tmp_path):
         out = tmp_path / "snap.json"
@@ -446,17 +463,13 @@ class TestEvalCommand:
         assert isinstance(result.exception, SystemExit)
 
     def test_sweep_builds_one_engine(self, monkeypatch):
+        # The caller's engine serves every size: sweep builds none.
+        engine = Engine(Config(corpus_dir=CORPUS_DIR))
         inits = []
-        original = evaluation.Engine.__init__
-
-        def counting(engine, config):
-            inits.append(config)
-            original(engine, config)
-
-        monkeypatch.setattr(evaluation.Engine, "__init__", counting)
-        reports = sweep(Config(corpus_dir=CORPUS_DIR),
-                        load_questions(QUESTIONS), [5, 10, 13])
-        assert len(inits) == 1
+        monkeypatch.setattr(evaluation.Engine, "__init__",
+                            lambda engine, config: inits.append(config))
+        reports = sweep(engine, load_questions(QUESTIONS), [5, 10, 13])
+        assert inits == []
         assert [r.corpus_size for r in reports] == [5, 10, 13]
 
     def test_bad_gold_label_exits_2(self, runner, small_corpus, tmp_path):
@@ -587,6 +600,26 @@ class TestConfigFile:
             assert result.exit_code == 2
             assert result.output.startswith(f"error: {bad}:2: not UTF-8: ")
             assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("key", ["stopwords", "negation",
+                                     "article_exceptions", "thesaurus",
+                                     "stem_overrides"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_data_file_missing_or_a_directory_is_named(self, runner,
+                                                       small_corpus, tmp_path,
+                                                       key, kind):
+        path = tmp_path / "data"
+        if kind == "directory":
+            path.mkdir()
+        cfg = tmp_path / "halqa.cfg"
+        cfg.write_text(f"{key} = {path}\ncorpus_dir = {small_corpus}\n",
+                       encoding="utf-8")
+        result = runner.invoke(main, ["ask", "--config", str(cfg),
+                                      "هل محمد ولد جميل ؟"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+        assert str(path) in result.output
 
     def test_config_not_utf_8_is_named(self, runner, tmp_path):
         cfg = tmp_path / "halqa.cfg"

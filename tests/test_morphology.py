@@ -174,6 +174,9 @@ def test_stem_idempotent_over_thesaurus_vocabulary(thesaurus, stemmer):
 class TestTagging:
     def test_article_means_noun(self):
         assert LightStemmer().tag("الباب") is PosTag.NOUN
+        # NOUN is also the default: only a verb governor before the word
+        # shows that the article outranks it.
+        assert LightStemmer().tag("الباب", preceding="لم") is PosTag.NOUN
 
     def test_verb_governor(self):
         assert LightStemmer().tag("يفتح", preceding="لم") is PosTag.VERB
