@@ -74,6 +74,8 @@ def load_config(path: Path | str) -> Config:
                 raise LexiconParseError(f"expected on/off for {key}", path, lineno)
             value = value.lower() in ("on", "true")
         elif defaults[key] is None:
+            if not value:
+                raise LexiconParseError(f"bad {key}: empty path", path, lineno)
             # Relative paths resolve against the config file's directory.
             value = (path.parent / value).resolve()
         try:

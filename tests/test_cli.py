@@ -537,6 +537,8 @@ class TestConfigFile:
         cfg = tmp_path / "halqa.conf"
         cfg.write_text("corpus_dir = corpus\n", encoding="utf-8")
         assert load_config(cfg).corpus_dir == (tmp_path / "corpus").resolve()
+        cfg.write_text("corpus_dir = .\n", encoding="utf-8")
+        assert load_config(cfg).corpus_dir == tmp_path.resolve()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "halqa.conf"
@@ -548,6 +550,9 @@ class TestConfigFile:
         ("k_paras = x", "bad k_paras: invalid literal for int()"),
         ("technique = docs", "bad technique: unknown technique: docs"),
         ("k_docs = 0", "bad k_docs: k_paras and k_docs must be >= 1"),
+        # An empty path would name the config file's own directory.
+        ("corpus_dir =", "bad corpus_dir: empty path"),
+        ("stopwords =", "bad stopwords: empty path"),
     ])
     def test_bad_value_names_file_and_line(self, runner, tmp_path, row,
                                            message):

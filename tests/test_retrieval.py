@@ -966,3 +966,23 @@ class TestPersistence:
         assert str(refused.value).startswith(f"{path}: ")
         assert message in str(refused.value)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "format 3 stores each paragraph's terms beside its text and loads "
+        "them unchecked; ROADMAP item 6 refuses such a snapshot, item 15 "
+        "derives the terms at load"))
+    def test_terms_that_disagree_with_the_text_do_not_load(
+            self, lexicons, stemmer, tmp_path):
+        idx = build_index_from_dir(CORPUS_DIR, lexicons, stemmer)
+        path = tmp_path / "index.json"
+        save_index(idx, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        # Valid JSON, every type right: one root renamed, its count kept.
+        terms = payload["terms"][0]
+        terms["محمدب"] = terms.pop("محمد")
+        path.write_text(json.dumps(payload, ensure_ascii=False),
+                        encoding="utf-8")
+        try:
+            loaded = load_index(path)
+        except ValueError:
+            return
+        assert loaded.terms == idx.terms
