@@ -25,18 +25,20 @@ from codecs import BOM_UTF8
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, pairwise
-from operator import lt, neg
+from itertools import accumulate, chain, islice, pairwise, repeat
+from operator import lt, neg, sub
 from pathlib import Path
 
 from .errors import EmptyCorpus
 from .morphology import LightStemmer
 from .text_core import Lexicons, normalize, split_paragraphs, words
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 
-# snapshot list -> its values' exact type: the fields of Index, in order
-_COLUMNS = {"doc_ids": str, "para_ids": int, "texts": str, "terms": dict}
+# snapshot list -> its values' exact type: one value a document, then one
+# a paragraph (the Index fields after doc_ids, which is derived at load)
+_DOCUMENT_LISTS = {"doc_ids": str, "doc_sizes": int}
+_PARAGRAPH_LISTS = {"para_ids": int, "texts": str, "terms": dict}
 
 # bytes asked of each os.read of a corpus file
 _READ_CHUNK = 1 << 16
@@ -56,10 +58,10 @@ class Paragraph:
 
 @dataclass(frozen=True)
 class Index:
-    """The paragraphs as the snapshot's four lists, a paragraph's values at
-    one position in each, in strictly ascending (doc_id, para_id) order:
-    a unit's position is its rank among equal scores. A ``Paragraph`` is
-    made only for a position that retrieval returns.
+    """The paragraphs as four lists, a paragraph's values at one position
+    in each, in strictly ascending (doc_id, para_id) order: a unit's
+    position breaks the last ties of a ranking. A ``Paragraph`` is made
+    only for a position that retrieval returns.
 
     A document is the span of its adjacent paragraphs, up to the next
     document's start; counting documents reads only the starts. Everything
@@ -293,20 +295,29 @@ def _accumulate(terms, norm, postings: Postings, weights: dict[str, array],
     return scores
 
 
-def _top(scores: dict[int, float], n: int, k: int) -> list[tuple[int, float]]:
-    """The k best (position, score) pairs among ``n`` units, ranked
-    by score descending, then by position.
+def _top(scores: dict[int, float], terms, q: Counter,
+         k: int) -> list[tuple[int, float]]:
+    """The k best (position, score) pairs among the units of ``terms``
+    (each unit's root -> frequency dict), ranked by score descending, then
+    by position; units scoring exactly 0 rank by the number of distinct
+    roots of ``q`` they hold, most first, then by position.
 
     ``scores`` holds the units in the postings of the query's roots; the
-    rest score 0. Of the k best scored units (one pass), those above 0 come
-    first, then zeros in position order until k is filled, then those below 0.
+    rest score 0 and hold no query root. Of the k best scored units (one
+    pass), those above 0 come first. Only if they do not fill k, the
+    scored units at 0 follow, then the unscored ones in position order,
+    then those below 0.
     """
-    k = min(k, n)
+    k = min(k, len(terms))
     best = heapq.nsmallest(k, zip(map(neg, scores.values()), scores))
     top = [i for s, i in best if s < 0]
-    zeros = (i for i in range(n) if scores.get(i, 0.0) == 0.0)
-    top += islice(zeros, k - len(top))
-    top += islice((i for s, i in best if s > 0), k - len(top))
+    if len(top) < k:  # a score of 0 enters: rank the zeros by shared roots
+        zeros = [i for i, s in scores.items() if s == 0.0]
+        top += heapq.nsmallest(k - len(top), zeros, key=lambda i: (
+            -sum(map(terms[i].__contains__, q)), i))
+        unscored = (i for i in range(len(terms)) if i not in scores)
+        top += islice(unscored, k - len(top))
+        top += islice((i for s, i in best if s > 0), k - len(top))
     return [(i, scores.get(i, 0.0)) for i in top]
 
 
@@ -342,11 +353,12 @@ def paragraph_technique(idx: Index, q: Counter, k: int) -> list[Paragraph]:
     """Rank the paragraphs corpus-wide; return the top k.
 
     Only the paragraphs holding a query root are scored, and the ranking
-    is that of all paragraphs: the rest score 0, ties break by (doc_id,
-    para_id) ascending, and zero scores rank above negative ones.
+    is that of all paragraphs: the rest score 0, zero scores rank above
+    negative ones and, among themselves, by the distinct query roots a
+    paragraph holds, and other ties break by (doc_id, para_id) ascending.
     """
     return [idx.paragraph(i, s)
-            for i, s in _top(paragraph_scores(idx, q), idx.n_paragraphs, k)]
+            for i, s in _top(paragraph_scores(idx, q), idx.terms, q, k)]
 
 
 def document_technique(idx: Index, q: Counter, k_docs: int,
@@ -355,25 +367,30 @@ def document_technique(idx: Index, q: Counter, k_docs: int,
 
     Documents are ranked through the postings as paragraphs are; document
     scores are never negative. The passage formula's N and n are taken
-    over the retained documents' paragraphs only. Document ties break by
-    doc_id ascending.
+    over the retained documents' paragraphs only. Documents scoring 0 rank
+    by the distinct query roots they hold, and other ties by doc_id
+    ascending.
     """
-    top = _top(document_scores(idx, q), idx.n_documents, k_docs)
+    top = _top(document_scores(idx, q), idx.document_terms, q, k_docs)
     starts = idx.document_starts
     kept = [i for d, _ in sorted(top) for i in range(starts[d], starts[d + 1])]
     retained = Index(*(tuple(map(getattr(idx, name).__getitem__, kept))
-                       for name in _COLUMNS))
+                       for name in ("doc_ids", *_PARAGRAPH_LISTS)))
     return paragraph_technique(retained, q, k_paras)
 
 
 def save_index(idx: Index, path: Path | str) -> None:
-    """Persist the index's four lists as a compact JSON snapshot, the bytes
-    of ``json.dumps(payload, ensure_ascii=False, separators=(",", ":"))``.
-    The file is replaced atomically and gets the mode the umask allows
-    (0644 under umask 022). Everything else is derived from the lists.
-    OSError names the snapshot path, not the temporary file."""
+    """Persist the index as a compact JSON snapshot, the bytes of
+    ``json.dumps(payload, ensure_ascii=False, separators=(",", ":"))``:
+    each document's id and paragraph count, then the paragraphs' ids,
+    texts and terms. The file is replaced atomically and gets the mode the
+    umask allows (0644 under umask 022). Everything else is derived from
+    the lists. OSError names the snapshot path, not the temporary file."""
+    starts = idx.document_starts
     payload = {"format_version": INDEX_FORMAT_VERSION,
-               **{name: getattr(idx, name) for name in _COLUMNS}}
+               "doc_ids": [idx.doc_ids[start] for start in starts[:-1]],
+               "doc_sizes": [*map(sub, starts[1:], starts)],
+               **{name: getattr(idx, name) for name in _PARAGRAPH_LISTS}}
     try:
         fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
         try:
@@ -396,9 +413,10 @@ def load_index(path: Path | str) -> Index:
     """Read a snapshot written by save_index. Raises ValueError, naming the
     file and what is at fault, for a file that is not UTF-8 JSON or is
     nested too deeply to parse, any other format version, a payload of the
-    wrong shape, a doc id or text that cannot be printed (a lone surrogate)
-    or paragraphs out of order. Each list is checked as a whole, by exact
-    type: a bool is not an int."""
+    wrong shape, a doc id or text that cannot be printed (a lone surrogate),
+    doc ids not strictly ascending, document sizes that do not sum to the
+    paragraph count or paragraphs out of order. Each list is checked as a
+    whole, by exact type: a bool is not an int."""
     try:
         return _index_of(json.loads(Path(path).read_text(encoding="utf-8")))
     except RecursionError:
@@ -408,34 +426,65 @@ def load_index(path: Path | str) -> Index:
 
 
 def _index_of(payload) -> Index:
-    """The index of a decoded snapshot; see ``load_index``."""
+    """The index of a decoded snapshot; see ``load_index``. The per-document
+    lists are checked before a doc id is repeated for each paragraph."""
     if not isinstance(payload, dict):
         raise ValueError("index snapshot is not a JSON object")
     if (version := payload.get("format_version")) != INDEX_FORMAT_VERSION:
         raise ValueError(f"unsupported index format version: {version} "
                          f"(expected {INDEX_FORMAT_VERSION}; rebuild the "
                          "snapshot with `halqa index`)")
-    columns = {name: payload.get(name) for name in _COLUMNS}
-    shape = {k: len(c) if type(c) is list else None for k, c in columns.items()}
-    if len({*shape.values()}) > 1 or not shape["doc_ids"]:
-        raise ValueError(f"index snapshot needs equal non-empty lists: {shape}")
-
-    def refusal(name, bad):  # run only once a whole-list check has failed
-        i = next(i for i, v in enumerate(columns[name]) if bad(v))
-        of = f" (doc_id {d!r})" if type(d := columns["doc_ids"][i]) is str else ""
-        return ValueError(f"index snapshot {name}[{i}]{of} is malformed: "
-                          f"{columns[name][i]!r:.80}")
-    for name, kind in _COLUMNS.items():
-        if {*map(type, columns[name])} != {kind}:
-            raise refusal(name, lambda v: type(v) is not kind)
-    for name in ("doc_ids", "texts"):  # printed, so each must encode
-        try:
-            "".join(columns[name]).encode()
-        except UnicodeEncodeError:  # only a lone surrogate fails
-            raise refusal(name, lambda v: any(
-                "\ud800" <= c <= "\udfff" for c in v)) from None
-    counts = [*chain.from_iterable(map(dict.values, terms := columns["terms"]))]
+    lists = {name: payload.get(name)
+             for name in (*_DOCUMENT_LISTS, *_PARAGRAPH_LISTS)}
+    for group in (_DOCUMENT_LISTS, _PARAGRAPH_LISTS):
+        shape = {name: len(c) if type(c := lists[name]) is list else None
+                 for name in group}
+        if len({*shape.values()}) > 1 or not next(iter(shape.values())):
+            raise ValueError("index snapshot needs equal non-empty lists: "
+                             f"{shape}")
+    ids, sizes = lists["doc_ids"], lists["doc_sizes"]
+    _check_values(lists, _DOCUMENT_LISTS, ids)
+    if not all(map(lt, ids, ids[1:])):
+        i = next(i for i in range(1, len(ids)) if ids[i - 1] >= ids[i])
+        raise ValueError(f"index snapshot doc_ids[{i}] is not above "
+                         f"doc_ids[{i - 1}]: {ids[i]!r:.80} after "
+                         f"{ids[i - 1]!r:.80}")
+    if min(sizes) < 1:
+        raise _refusal("doc_sizes", sizes, ids, lambda size: size < 1)
+    if (total := sum(sizes)) != (n := len(lists["para_ids"])):
+        raise ValueError(f"index snapshot doc_sizes sum to {total}, not to "
+                         f"the {n} paragraphs")
+    # One string object per document, shared by its paragraphs, as built.
+    doc_ids = tuple(chain.from_iterable(map(repeat, ids, sizes)))
+    _check_values(lists, _PARAGRAPH_LISTS, doc_ids)
+    counts = [*chain.from_iterable(map(dict.values, terms := lists["terms"]))]
     if not all(terms) or {*map(type, counts)} != {int} or min(counts) < 1:
-        raise refusal("terms", lambda t: not t or any(
+        raise _refusal("terms", terms, doc_ids, lambda t: not t or any(
             type(tf) is not int or tf < 1 for tf in t.values()))
-    return Index(*map(tuple, columns.values()))
+    return Index(doc_ids, *(tuple(lists[name]) for name in _PARAGRAPH_LISTS))
+
+
+def _check_values(lists: dict, kinds: dict, doc_ids) -> None:
+    """Refuse a list of ``lists`` named in ``kinds`` whose values are not
+    all of exactly that type, or a list of strings that cannot be printed.
+    ``doc_ids[i]`` is the doc id at position i of each list."""
+    for name, kind in kinds.items():
+        if {*map(type, lists[name])} != {kind}:
+            raise _refusal(name, lists[name], doc_ids,
+                           lambda v: type(v) is not kind)
+        if kind is str:  # printed, so each must encode
+            try:
+                "".join(lists[name]).encode()
+            except UnicodeEncodeError:  # only a lone surrogate fails
+                raise _refusal(name, lists[name], doc_ids, lambda v: any(
+                    "\ud800" <= c <= "\udfff" for c in v)) from None
+
+
+def _refusal(name: str, values: list, doc_ids, bad) -> ValueError:
+    """The error naming the first of ``values`` (the snapshot list
+    ``name``) that is ``bad``, with the doc id at its position. Made only
+    once a whole-list check has failed."""
+    i = next(i for i, v in enumerate(values) if bad(v))
+    of = f" (doc_id {d!r})" if type(d := doc_ids[i]) is str else ""
+    return ValueError(f"index snapshot {name}[{i}]{of} is malformed: "
+                      f"{values[i]!r:.80}")

@@ -245,28 +245,48 @@ class TestAskCommand:
         '{"format_version": 2, "paragraphs": [{"doc_id": "d1"}]}',
         "{not json",
         '{"format_version": %d, "doc_ids": ["d1"]}' % INDEX_FORMAT_VERSION,
-        # a paragraph given twice, and paragraphs in reverse order
-        json.dumps({"format_version": INDEX_FORMAT_VERSION,
-                    "doc_ids": ["d1", "d1"], "para_ids": [0, 0],
-                    "texts": ["محمد ولد جميل"] * 2,
+        # version 3 kept one doc id per paragraph; refused for its version,
+        # whatever else it holds
+        '{"format_version": 3, "doc_ids": ["d1"]}',
+        json.dumps({"format_version": 3, "doc_ids": ["d1"], "para_ids": [0],
+                    "texts": ["محمد ولد جميل"],
+                    "terms": [{"محمد": 1, "ولد": 1, "جميل": 1}]}),
+        json.dumps({"format_version": 3, "doc_ids": ["d1", "d1"],
+                    "para_ids": [0, 1], "texts": ["محمد ولد جميل"] * 2,
                     "terms": [{"محمد": 1, "ولد": 1, "جميل": 1}] * 2}),
-        json.dumps({"format_version": INDEX_FORMAT_VERSION,
-                    "doc_ids": ["d2", "d1"], "para_ids": [0, 0],
+        json.dumps({"format_version": 3, "doc_ids": ["d2", "d1"],
+                    "para_ids": [0, 0],
                     "texts": ["فتح محمود الباب", "محمد ولد جميل"],
                     "terms": [{"فتح": 1, "محمود": 1, "باب": 1},
                               {"محمد": 1, "ولد": 1, "جميل": 1}]}),
+        # a paragraph given twice, and documents in reverse order
+        json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                    "doc_ids": ["d1"], "doc_sizes": [2], "para_ids": [0, 0],
+                    "texts": ["محمد ولد جميل"] * 2,
+                    "terms": [{"محمد": 1, "ولد": 1, "جميل": 1}] * 2}),
+        json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                    "doc_ids": ["d2", "d1"], "doc_sizes": [1, 1],
+                    "para_ids": [0, 0],
+                    "texts": ["فتح محمود الباب", "محمد ولد جميل"],
+                    "terms": [{"فتح": 1, "محمود": 1, "باب": 1},
+                              {"محمد": 1, "ولد": 1, "جميل": 1}]}),
+        # document sizes that do not sum to the paragraph count
+        json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                    "doc_ids": ["d1"], "doc_sizes": [2], "para_ids": [0],
+                    "texts": ["محمد ولد جميل"],
+                    "terms": [{"محمد": 1, "ولد": 1, "جميل": 1}]}),
         # a bool is not a para_id or a count
         json.dumps({"format_version": INDEX_FORMAT_VERSION,
-                    "doc_ids": ["d1"], "para_ids": [True],
+                    "doc_ids": ["d1"], "doc_sizes": [1], "para_ids": [True],
                     "texts": ["محمد ولد جميل"],
                     "terms": [{"محمد": 1, "ولد": 1, "جميل": 1}]}),
         json.dumps({"format_version": INDEX_FORMAT_VERSION,
-                    "doc_ids": ["d1"], "para_ids": [0],
+                    "doc_ids": ["d1"], "doc_sizes": [1], "para_ids": [0],
                     "texts": ["محمد ولد جميل"],
                     "terms": [{"محمد": 1, "ولد": True, "جميل": 1}]}),
         # a lone surrogate, which loads but cannot be printed
         json.dumps({"format_version": INDEX_FORMAT_VERSION,
-                    "doc_ids": ["d1"], "para_ids": [0],
+                    "doc_ids": ["d1"], "doc_sizes": [1], "para_ids": [0],
                     "texts": ["\ud800 محمد جميل."],
                     "terms": [{"محمد": 1, "جميل": 1}]}),
     ])

@@ -56,10 +56,12 @@ def random_query(rng: random.Random) -> Counter:
 
 
 def snapshot_payload(idx: Index) -> dict:
-    """The payload a snapshot of ``idx`` holds, built without save_index."""
-    ps = idx.paragraphs
+    """The payload a snapshot of ``idx`` holds, built without save_index:
+    each document's id and paragraph count, then one value a paragraph."""
+    ps, documents = idx.paragraphs, documents_of(idx)
     return {"format_version": INDEX_FORMAT_VERSION,
-            "doc_ids": [p.doc_id for p in ps],
+            "doc_ids": [d.doc_id for d in documents],
+            "doc_sizes": [len(d.positions) for d in documents],
             "para_ids": [p.para_id for p in ps],
             "texts": [p.text for p in ps], "terms": [p.terms for p in ps]}
 
@@ -135,19 +137,30 @@ def document_similarity(d, q: Counter, idx: Index) -> float:
                      idx.document_postings, idx.n_documents, _w_dt, _w_qt)
 
 
+def zero_tie(score: float, terms, q: Counter) -> int:
+    """The tie rule among scores of exactly 0: the more distinct query
+    roots a unit holds, the higher it ranks. Other scores do not use it."""
+    return -len(terms.keys() & q.keys()) if score == 0 else 0
+
+
 def full_scan_paragraphs(idx: Index, q: Counter, k: int):
     """Reference ranking: score every paragraph, sort by score descending,
-    then (doc_id, para_id)."""
+    then by the zero-score tie rule, then (doc_id, para_id)."""
     scored = sorted(((passage_similarity(p, q, idx), p) for p in idx.paragraphs),
-                    key=lambda sp: (-sp[0], sp[1].doc_id, sp[1].para_id))
+                    key=lambda sp: (-sp[0], zero_tie(sp[0], sp[1].terms, q),
+                                    sp[1].doc_id, sp[1].para_id))
     return [((p.doc_id, p.para_id), s) for s, p in scored[:k]]
 
 
 def full_scan_documents(idx: Index, q: Counter, k_docs: int, k_paras: int):
-    """Reference document technique: score every document, keep the top
-    k_docs, rank their paragraphs by full scan over an index of them."""
-    ranked = sorted(documents_of(idx),
-                    key=lambda d: (-document_similarity(d, q, idx), d.doc_id))
+    """Reference document technique: score every document, rank them as
+    paragraphs are (ties by doc_id), keep the top k_docs, rank their
+    paragraphs by full scan over an index of them."""
+    def key(d):
+        score = document_similarity(d, q, idx)
+        return -score, zero_tie(score, d.terms, q), d.doc_id
+
+    ranked = sorted(documents_of(idx), key=key)
     kept = sorted(ranked[:k_docs], key=lambda d: d.doc_id)
     retained = index_of(idx.paragraph(i) for d in kept for i in d.positions)
     return full_scan_paragraphs(retained, q, k_paras)
@@ -596,6 +609,29 @@ class TestTechniques:
             [("a", 0), ("b", 0), ("b", 1)]
         assert len({c.score for c in top}) == 1
 
+    def test_zero_scores_rank_by_shared_roots(self, lexicons, stemmer):
+        # ql = 2, so W_q = log2(2/2) = 0 and every paragraph scores 0: the
+        # more distinct query roots a paragraph holds, the higher it ranks,
+        # and a paragraph holding none comes last, whatever its position.
+        idx = build_index([("a", "t2"), ("b", "t0 t0"), ("c", "t0 t1 t2")],
+                          lexicons, stemmer)
+        top = paragraph_technique(idx, Counter(["t0", "t1"]), k=3)
+        assert [(c.doc_id, c.score) for c in top] == \
+            [("c", 0.0), ("b", 0.0), ("a", 0.0)]
+
+    def test_distractors_do_not_push_out_a_two_root_answer(self, tmp_path):
+        # Six documents sorting before the fixture's and sharing no root
+        # with the question filled its top 5 when zero scores tied by
+        # position alone, and the question answered unknown.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        for i in range(1, 7):
+            (corpus / f"a0{i}.txt").write_text("كتب الطالب الدرس.",
+                                               encoding="utf-8")
+        result = Engine(Config(corpus_dir=corpus)).answer("هل محمد جميل ؟")
+        assert result.verdict.answer.value == "yes"
+        assert result.retrieved[0].doc_id == "d01_muhammad"
+
     def test_negative_score_ranks_below_unmatched(self, lexicons, stemmer):
         # ql = 3 and tf + 1 > pl: W_p = 2 log2(2/1) > 0 and
         # W_q = 2 log2(2/3) < 0, so the only paragraph holding a query root
@@ -758,7 +794,8 @@ class TestParagraphsOnDemand:
 
     def test_index_fields_are_the_snapshot_lists(self, lexicons, stemmer):
         idx = build_index([("a", "x y x\n\nz"), ("b", "y")], lexicons, stemmer)
-        assert [f.name for f in fields(Index)] == list(retrieval._COLUMNS)
+        assert [f.name for f in fields(Index)] == \
+            ["doc_ids", *retrieval._PARAGRAPH_LISTS]
         assert (idx.doc_ids, idx.para_ids, idx.texts, idx.terms) == \
             (("a", "a", "b"), (0, 1, 0), ("x y x", "z", "y"),
              ({"x": 2, "y": 1}, {"z": 1}, {"y": 1}))
@@ -830,7 +867,7 @@ class TestPersistence:
                                stemmer), path)
         assert json.loads(path.read_text(encoding="utf-8")) == {
             "format_version": INDEX_FORMAT_VERSION,
-            "doc_ids": ["a", "a", "b"], "para_ids": [0, 1, 0],
+            "doc_ids": ["a", "b"], "doc_sizes": [2, 1], "para_ids": [0, 1, 0],
             "texts": ["x y x", "z", "y"],
             "terms": [{"x": 2, "y": 1}, {"z": 1}, {"y": 1}]}
 
@@ -850,8 +887,8 @@ class TestPersistence:
 
     def test_snapshot_with_spaces_still_loads(self, lexicons, stemmer,
                                               tmp_path):
-        # Earlier versions wrote the same format 3 payload with json.dumps's
-        # default ", " and ": " separators; JSON whitespace is not format.
+        # The same payload with json.dumps's default ", " and ": "
+        # separators, as format 3 was once written: whitespace is not format.
         idx = build_index_from_dir(CORPUS_DIR, lexicons, stemmer)
         spaced, compact = tmp_path / "spaced.json", tmp_path / "index.json"
         spaced.write_text(json.dumps(snapshot_payload(idx), ensure_ascii=False),
@@ -879,7 +916,12 @@ class TestPersistence:
             [list(p.terms.items()) for p in idx.paragraphs]
 
     GOOD = {"format_version": INDEX_FORMAT_VERSION, "doc_ids": ["a"],
-            "para_ids": [0], "texts": ["x"], "terms": [{"x": 1}]}
+            "doc_sizes": [1], "para_ids": [0], "texts": ["x"],
+            "terms": [{"x": 1}]}
+    # a version-3 snapshot: one doc id per paragraph, and no doc_sizes
+    VERSION_3 = {"format_version": 3, "doc_ids": ["a", "a"],
+                 "para_ids": [0, 1], "texts": ["x", "y"],
+                 "terms": [{"x": 1}, {"y": 1}]}
     # a version-2 snapshot: one record per paragraph
     VERSION_2 = {"format_version": 2, "paragraphs": [
         {"doc_id": "a", "para_id": 0, "text": "x", "terms": {"x": 1}}]}
@@ -888,7 +930,14 @@ class TestPersistence:
         [1, 2],
         "index",
         {"format_version": INDEX_FORMAT_VERSION},
-        {**GOOD, "doc_ids": [], "para_ids": [], "texts": [], "terms": []},
+        {**GOOD, "doc_ids": [], "doc_sizes": [], "para_ids": [], "texts": [],
+         "terms": []},
+        {**GOOD, "doc_ids": [], "doc_sizes": []},
+        {k: v for k, v in GOOD.items() if k != "doc_sizes"},
+        {**GOOD, "doc_sizes": 1},
+        {**GOOD, "doc_sizes": [True]},
+        {**GOOD, "doc_sizes": [0]},
+        {**GOOD, "doc_sizes": [2]},
         {**GOOD, "terms": {"a": 1}},
         {**GOOD, "terms": [1]},
         {k: v for k, v in GOOD.items() if k != "terms"},
@@ -901,12 +950,16 @@ class TestPersistence:
         {**GOOD, "terms": [{"x": 0}]},
         {**GOOD, "terms": [{"x": True}]},
         # paragraphs not in strictly ascending (doc_id, para_id) order
-        {**GOOD, "doc_ids": ["a", "a"], "para_ids": [0, 0],
+        {**GOOD, "doc_sizes": [2], "para_ids": [0, 0],
          "texts": ["x", "x"], "terms": [{"x": 1}, {"x": 1}]},
-        {**GOOD, "doc_ids": ["a", "a"], "para_ids": [1, 0],
+        {**GOOD, "doc_sizes": [2], "para_ids": [1, 0],
          "texts": ["x", "x"], "terms": [{"x": 1}, {"x": 1}]},
-        {**GOOD, "doc_ids": ["b", "a"], "para_ids": [0, 0],
-         "texts": ["x", "x"], "terms": [{"x": 1}, {"x": 1}]},
+        {**GOOD, "doc_ids": ["a", "a"], "doc_sizes": [1, 1],
+         "para_ids": [0, 1], "texts": ["x", "x"],
+         "terms": [{"x": 1}, {"x": 1}]},
+        {**GOOD, "doc_ids": ["b", "a"], "doc_sizes": [1, 1],
+         "para_ids": [0, 0], "texts": ["x", "x"],
+         "terms": [{"x": 1}, {"x": 1}]},
         # a version-1 snapshot, which stored the statistics as well
         {"format_version": 1,
          "paragraphs": [{**VERSION_2["paragraphs"][0], "pl": 1}],
@@ -914,6 +967,7 @@ class TestPersistence:
          "df_p": {"x": 1}, "df_d": {"x": 1}},
         {"format_version": 1, "paragraphs": []},
         VERSION_2,
+        VERSION_3,
     ])
     def test_malformed_snapshot_rejected(self, payload, tmp_path):
         path = tmp_path / "index.json"
@@ -926,14 +980,14 @@ class TestPersistence:
         assert ("format version" in str(refused.value)) is other_version
 
     TWO = {"format_version": INDEX_FORMAT_VERSION, "doc_ids": ["a", "b"],
-           "para_ids": [0, 0], "texts": ["x", "y"],
+           "doc_sizes": [1, 1], "para_ids": [0, 0], "texts": ["x", "y"],
            "terms": [{"x": 1}, {"y": 1}]}
 
     @pytest.mark.parametrize("change, message", [
-        ({"para_ids": [0]}, "needs equal non-empty lists: {'doc_ids': 2, "
-                            "'para_ids': 1, 'texts': 2, 'terms': 2}"),
-        ({"texts": None}, "needs equal non-empty lists: {'doc_ids': 2, "
-                          "'para_ids': 2, 'texts': None, 'terms': 2}"),
+        ({"para_ids": [0]}, "needs equal non-empty lists: {'para_ids': 1, "
+                            "'texts': 2, 'terms': 2}"),
+        ({"texts": None}, "needs equal non-empty lists: {'para_ids': 2, "
+                          "'texts': None, 'terms': 2}"),
         ({"terms": {"x": 1, "y": 1}}, "'terms': None}"),
         ({"para_ids": [0, True]}, "para_ids[1] (doc_id 'b') is malformed: "
                                   "True"),
@@ -943,19 +997,34 @@ class TestPersistence:
         ({"terms": [{"x": 1}, {"y": 0}]},
          "terms[1] (doc_id 'b') is malformed: {'y': 0}"),
         ({"terms": [{}, {"y": 1}]}, "terms[0] (doc_id 'a') is malformed: {}"),
-        ({"doc_ids": ["a", "a"]}, "not in strictly ascending (doc_id, "
-                                  "para_id) order at a#0"),
-        ({"doc_ids": ["b", "a"]}, "not in strictly ascending (doc_id, "
-                                  "para_id) order at a#0"),
+        ({"doc_sizes": None}, "needs equal non-empty lists: {'doc_ids': 2, "
+                              "'doc_sizes': None}"),
+        ({"doc_sizes": 2}, "{'doc_ids': 2, 'doc_sizes': None}"),
+        ({"doc_sizes": [2]}, "{'doc_ids': 2, 'doc_sizes': 1}"),
+        ({"doc_sizes": [1, True]}, "doc_sizes[1] (doc_id 'b') is malformed: "
+                                   "True"),
+        ({"doc_sizes": [2, 0]}, "doc_sizes[1] (doc_id 'b') is malformed: 0"),
+        ({"doc_sizes": [1, 2]}, "doc_sizes sum to 3, not to the 2 "
+                                "paragraphs"),
+        ({"doc_ids": ["a", "a"]}, "doc_ids[1] is not above doc_ids[0]: 'a' "
+                                  "after 'a'"),
+        ({"doc_ids": ["b", "a"]}, "doc_ids[1] is not above doc_ids[0]: 'a' "
+                                  "after 'b'"),
+        ({"doc_ids": ["a"], "doc_sizes": [2]}, "not in strictly ascending "
+                                               "(doc_id, para_id) order at a#0"),
         ({"format_version": 2}, "rebuild the snapshot with `halqa index`"),
+        ({"format_version": 3, "doc_sizes": None},
+         "rebuild the snapshot with `halqa index`"),
         ({"texts": ["x", "\ud800y"]}, "texts[1] (doc_id 'b') is malformed: "
                                       "'\\ud800y'"),
         ({"doc_ids": ["a", "b\udfff"]}, "doc_ids[1] (doc_id 'b\\udfff') is "
                                         "malformed: 'b\\udfff'"),
     ], ids=["unequal-lengths", "missing-field", "not-a-list", "bool-para-id",
             "int-doc-id", "bool-count", "zero-count", "empty-terms",
-            "duplicate", "out-of-order", "version-2", "surrogate-text",
-            "surrogate-doc-id"])
+            "missing-doc-sizes", "doc-sizes-not-a-list", "doc-sizes-length",
+            "bool-doc-size", "zero-doc-size", "doc-sizes-sum", "duplicate",
+            "out-of-order", "paragraph-out-of-order", "version-2",
+            "version-3", "surrogate-text", "surrogate-doc-id"])
     def test_refusal_names_the_fault(self, change, message, tmp_path):
         path = tmp_path / "index.json"
         payload = {k: v for k, v in {**self.TWO, **change}.items()
@@ -966,8 +1035,35 @@ class TestPersistence:
         assert str(refused.value).startswith(f"{path}: ")
         assert message in str(refused.value)
 
+    def test_huge_doc_size_is_refused_before_expanding(self, tmp_path,
+                                                       monkeypatch):
+        # Repeating the doc id 10**9 times would take gigabytes; the sum
+        # check refuses the size before any doc id is repeated.
+        monkeypatch.setattr(retrieval, "repeat",
+                            lambda *args: pytest.fail("doc ids expanded"))
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps({**self.TWO, "doc_sizes": [1, 10**9]}),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="doc_sizes sum to 1000000001, "
+                                             "not to the 2 paragraphs"):
+            load_index(path)
+
+    def test_paragraphs_of_a_document_share_its_doc_id(self, lexicons,
+                                                        stemmer, tmp_path):
+        built = build_index_from_dir(CORPUS_DIR, lexicons, stemmer)
+        path = tmp_path / "index.json"
+        save_index(built, path)
+        loaded = load_index(path)
+        assert loaded == built
+        for idx in (built, loaded):
+            for start, end in pairwise(idx.document_starts):
+                first = idx.doc_ids[start]
+                assert all(d is first for d in idx.doc_ids[start:end])
+            assert len({*map(id, idx.doc_ids)}) == idx.n_documents < \
+                idx.n_paragraphs
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "format 3 stores each paragraph's terms beside its text and loads "
+        "format 4 stores each paragraph's terms beside its text and loads "
         "them unchecked; ROADMAP item 6 refuses such a snapshot, item 15 "
         "derives the terms at load"))
     def test_terms_that_disagree_with_the_text_do_not_load(

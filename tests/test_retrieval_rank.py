@@ -3,8 +3,10 @@
 Each question is answered with every paragraph retrieved. The supporting
 sentence's paragraph is then the reference, and its rank is its 1-based
 place in that same retrieval. No human label is needed. The figures are
-pinned so that a change of ranking shows before a verdict flips; two-word
-questions rank worst, since their query weights are all zero.
+pinned so that a change of ranking shows before a verdict flips. Two-word
+questions score every paragraph 0, since their query weights are all
+zero; they rank by the tie rule for zero scores, the most shared roots
+first.
 """
 
 import dataclasses
@@ -56,7 +58,7 @@ def supporting_ranks(engine, questions):
 @pytest.mark.parametrize("questions, pinned", [
     ([q for q, _ in load_questions(QUESTIONS)], (43, 42, 43, 43, 0.988)),
     (generated("self-answer"), (31, 31, 31, 31, 1.0)),
-    (generated("two-word"), (191, 10, 60, 99, 0.191)),
+    (generated("two-word"), (191, 185, 191, 191, 0.984)),
 ], ids=["gold", "self-answer", "two-word"])
 def test_supporting_paragraph_rank(engine, questions, pinned):
     assert engine.index.n_paragraphs == 21
